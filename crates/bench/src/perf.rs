@@ -3,8 +3,9 @@
 //! comparator for CI gating.
 //!
 //! [`run_perf`] measures five scenarios — a two-tenant colocation run, a
-//! parallel rollout collection, a PPO update microbench, an event-queue
-//! microbench, and a run-store ingest microbench — in two passes: a **timing pass** with the profiler disabled (so the throughput
+//! sharded fleet run, a parallel rollout collection, a PPO update
+//! microbench, and a run-store ingest microbench — in two passes: a
+//! **timing pass** with the profiler disabled (so the throughput
 //! numbers carry no instrumentation overhead) and a **profiling pass**
 //! with `obs::prof` enabled that yields the span tree embedded in the
 //! report and the folded stacks for flamegraphs. [`compare`] diffs two
@@ -21,13 +22,14 @@ use fleetio::experiment::{hardware_layout, run_collocation, ExperimentOptions};
 use fleetio::{Colocation, FleetIoConfig, FleetIoEnv};
 use fleetio_des::rng::{Rng, SmallRng};
 use fleetio_flash::config::FlashConfig;
+use fleetio_obs::json::quote;
 use fleetio_obs::prof;
 use fleetio_obs::prof::ProfReport;
 use fleetio_rl::parallel::collect_parallel_envs;
 use fleetio_rl::{ObsNormalizer, PpoPolicy, PpoTrainer, RolloutBuffer, Transition};
 use fleetio_workloads::WorkloadKind;
 
-use crate::report::{json_num, json_str};
+use crate::report::json_num;
 
 /// Report format version; bump on any field change.
 pub const SCHEMA: &str = "fleetio-bench-perf/1";
@@ -58,8 +60,6 @@ pub struct PerfOptions {
     pub ppo_transitions: usize,
     /// PPO updates timed.
     pub ppo_updates: usize,
-    /// Push/pop pairs timed by the event-queue microbench.
-    pub queue_ops: usize,
     /// Events streamed through the run-store ingest microbench.
     pub store_events: usize,
     /// Fleet shards (one vSSD engine each).
@@ -86,7 +86,6 @@ impl PerfOptions {
             rollout_steps: 16,
             ppo_transitions: 512,
             ppo_updates: 6,
-            queue_ops: 2_000_000,
             store_events: 400_000,
             fleet_shards: 16,
             fleet_slots: 4,
@@ -107,7 +106,6 @@ impl PerfOptions {
             rollout_steps: 4,
             ppo_transitions: 64,
             ppo_updates: 1,
-            queue_ops: 20_000,
             store_events: 5_000,
             fleet_shards: 2,
             fleet_slots: 2,
@@ -148,13 +146,13 @@ impl PerfReport {
     /// Renders the report as pretty-printed JSON.
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n");
-        out.push_str(&format!("  \"schema\": {},\n", json_str(&self.schema)));
+        out.push_str(&format!("  \"schema\": {},\n", quote(&self.schema)));
         out.push_str("  \"metrics\": {");
         for (i, (name, value)) in self.metrics.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(&format!("\n    {}: {}", json_str(name), json_num(*value)));
+            out.push_str(&format!("\n    {}: {}", quote(name), json_num(*value)));
         }
         if !self.metrics.is_empty() {
             out.push_str("\n  ");
@@ -166,7 +164,7 @@ impl PerfReport {
             }
             out.push_str(&format!(
                 "\n    {{\"path\": {}, \"calls\": {}, \"total_ns\": {}, \"self_ns\": {}}}",
-                json_str(&s.path),
+                quote(&s.path),
                 s.calls,
                 s.total_ns,
                 s.self_ns
@@ -586,7 +584,6 @@ fn run_scenarios(opts: &PerfOptions, metrics: &mut BTreeMap<String, f64>) {
     fleet_scenario(opts, metrics);
     rollout_scenario(opts, metrics);
     ppo_scenario(opts, metrics);
-    queue_scenario(opts, metrics);
     store_scenario(opts, metrics);
 }
 
@@ -702,56 +699,6 @@ fn store_scenario(opts: &PerfOptions, metrics: &mut BTreeMap<String, f64>) {
         opts.store_events as f64 / secs,
     );
     std::fs::remove_dir_all(&dir).ok();
-}
-
-/// Event-queue microbench: steady-state push/pop pairs over an
-/// engine-like arrival-time distribution (most completions land within a
-/// bucket width of `now`, a tail spans the ring, admission-tick-style
-/// events overflow the horizon). Fills `queue_ops_per_sec` so a queue
-/// regression is visible even when engine-level metrics move for other
-/// reasons.
-fn queue_scenario(opts: &PerfOptions, metrics: &mut BTreeMap<String, f64>) {
-    use fleetio_des::{EventQueue, SimTime};
-    let _prof = prof::span("perf.queue");
-    let mut rng = SmallRng::seed_from_u64(opts.seed ^ 0x0005_eed9_0e0e);
-    let mut q: EventQueue<u32> = EventQueue::new();
-    let mut now = 0u64;
-    // Steady-state population comparable to a busy engine.
-    const PENDING: usize = 4_096;
-    let deltas: Vec<u64> = (0..opts.queue_ops + PENDING)
-        .map(|_| match rng.gen_range(0u64..100) {
-            // Same-bucket completion (reads, bus grants).
-            0..=59 => rng.gen_range(0u64..16_384),
-            // Ring-resident (programs, erases, GC busy times).
-            60..=94 => rng.gen_range(16_384u64..2_000_000),
-            // Same-instant cascade.
-            95..=97 => 0,
-            // Beyond the ring horizon (pre-submitted arrivals).
-            _ => rng.gen_range(70_000_000u64..200_000_000),
-        })
-        .collect();
-    let mut di = deltas.iter();
-    for _ in 0..PENDING {
-        q.push(
-            SimTime::from_nanos(now + di.next().expect("prefill delta")),
-            0,
-        );
-    }
-    let t0 = Instant::now();
-    for _ in 0..opts.queue_ops {
-        let ev = q.pop().expect("queue holds PENDING events");
-        now = ev.at.as_nanos();
-        q.push(
-            SimTime::from_nanos(now + di.next().expect("steady delta")),
-            0,
-        );
-    }
-    let secs = t0.elapsed().as_secs_f64().max(1e-9);
-    // One op = one push + one pop.
-    metrics.insert(
-        "queue_ops_per_sec".to_string(),
-        (opts.queue_ops * 2) as f64 / secs,
-    );
 }
 
 /// Runs the perf suite: a timing pass with the profiler **disabled**
@@ -881,9 +828,9 @@ mod tests {
     fn unbaselined_metric_fails_strict_and_passes_allow_new() {
         let old = sample_report();
         let mut new = old.clone();
-        new.metrics.insert("queue_ops_per_sec".to_string(), 1e7);
+        new.metrics.insert("unbaselined_per_sec".to_string(), 1e7);
         let strict = compare(&old, &new, WARN_THRESHOLD, FAIL_THRESHOLD, false);
-        assert_eq!(strict.added, vec!["queue_ops_per_sec".to_string()]);
+        assert_eq!(strict.added, vec!["unbaselined_per_sec".to_string()]);
         assert!(strict.failed(), "strict mode must gate unbaselined metrics");
         assert!(strict
             .render_text(WARN_THRESHOLD, FAIL_THRESHOLD)
@@ -933,7 +880,6 @@ mod tests {
             "fleet_events_per_sec",
             "rollout_steps_per_sec",
             "ppo_updates_per_sec",
-            "queue_ops_per_sec",
             "store_ingest_events_per_sec",
         ] {
             let rate = report.metrics.get(metric).copied().unwrap_or(0.0);

@@ -1,5 +1,7 @@
 //! Row-oriented result reporting (text tables + JSON).
 
+use fleetio_obs::json::quote;
+
 /// One figure's regenerated rows.
 #[derive(Debug, Clone)]
 pub struct FigureReport {
@@ -75,10 +77,10 @@ impl FigureReport {
     /// no external crates).
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n");
-        out.push_str(&format!("  \"id\": {},\n", json_str(&self.id)));
-        out.push_str(&format!("  \"title\": {},\n", json_str(&self.title)));
+        out.push_str(&format!("  \"id\": {},\n", quote(&self.id)));
+        out.push_str(&format!("  \"title\": {},\n", quote(&self.title)));
         out.push_str("  \"columns\": [");
-        push_joined(&mut out, self.columns.iter().map(|c| json_str(c)));
+        push_joined(&mut out, self.columns.iter().map(|c| quote(c)));
         out.push_str("],\n  \"rows\": [");
         for (i, (label, values)) in self.rows.iter().enumerate() {
             if i > 0 {
@@ -86,7 +88,7 @@ impl FigureReport {
             }
             out.push_str(&format!(
                 "\n    {{\"label\": {}, \"values\": [",
-                json_str(label)
+                quote(label)
             ));
             push_joined(&mut out, values.iter().map(|v| json_num(*v)));
             out.push_str("]}");
@@ -95,29 +97,10 @@ impl FigureReport {
             out.push_str("\n  ");
         }
         out.push_str("],\n  \"notes\": [");
-        push_joined(&mut out, self.notes.iter().map(|n| json_str(n)));
+        push_joined(&mut out, self.notes.iter().map(|n| quote(n)));
         out.push_str("]\n}\n");
         out
     }
-}
-
-/// Escapes a string into a JSON string literal.
-pub(crate) fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// Renders an f64 as a JSON number (JSON has no NaN/Inf — map to null).

@@ -5,8 +5,8 @@
 //!
 //! * [`SimTime`] / [`SimDuration`] — nanosecond-resolution simulation
 //!   timestamps with saturating arithmetic,
-//! * [`EventQueue`] — a deterministic time-ordered event queue (FIFO among
-//!   simultaneous events),
+//! * [`EventQueue`] — a deterministic binary-heap event queue ordered by
+//!   `(time, insertion sequence)`, so simultaneous events pop FIFO,
 //! * [`rng`] — reproducible seed derivation for experiments that fan out into
 //!   many independent random streams,
 //! * [`hist::LatencyHistogram`] — a log-bucketed histogram with percentile
@@ -40,7 +40,7 @@ pub mod time;
 pub mod window;
 
 pub use hist::LatencyHistogram;
-pub use queue::{BinaryHeapQueue, Event, EventQueue};
+pub use queue::{Event, EventQueue};
 pub use slab::{Handle, Slab};
 pub use time::{SimDuration, SimTime};
 pub use window::WindowStats;

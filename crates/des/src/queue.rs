@@ -1,24 +1,12 @@
-//! Deterministic time-ordered event queues.
+//! Deterministic time-ordered event queue.
 //!
-//! Both queues in this module order events by `(at, seq)`: timestamp
+//! [`EventQueue`] is a binary heap ordered by `(at, seq)`: timestamp
 //! first, then insertion sequence, so events scheduled for the same
 //! instant pop in FIFO order and whole simulations reproduce
 //! bit-for-bit across runs.
 //!
-//! * [`EventQueue`] — the production **calendar queue**: events hash into
-//!   fixed-width time buckets on a ring, the active bucket is sorted once
-//!   and drained by cursor, and only far-future events (beyond the ring
-//!   horizon) or same/past-time cascades touch a heap. For the engine's
-//!   heavily time-clustered event distribution this replaces the
-//!   per-event `O(log n)` heap percolation of a binary heap with `O(1)`
-//!   pushes and amortized `O(1)` pops.
-//! * [`BinaryHeapQueue`] — the straightforward binary-heap
-//!   implementation the calendar queue replaced, kept as the **reference
-//!   semantics** for differential testing (`prop_calendar_matches_heap`)
-//!   and as a fallback for workloads without time clustering.
-//!
-//! See DESIGN.md § "DES internals" for the ordering argument and the
-//! bucket-width selection.
+//! See DESIGN.md § "DES internals" for why a plain heap, and not a
+//! calendar queue, serves the engine.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -63,22 +51,7 @@ impl<T> Ord for HeapEntry<T> {
     }
 }
 
-/// Default bucket width: `1 << 14` ns ≈ 16.4 µs. Engine events cluster at
-/// sub-microsecond to tens-of-microseconds gaps (page reads ≈ 3–50 µs, bus
-/// grants ≈ 64 µs), so a bucket holds a handful of events — enough to
-/// amortize the per-bucket sort, small enough that the sort stays cache-hot.
-const DEFAULT_SHIFT: u32 = 14;
-
-/// Default ring size (buckets). With the default width the ring horizon is
-/// `4096 << 14` ns ≈ 67 ms, which covers every recurring engine delay
-/// (admission ticks at 50 ms, erases at ≈ 3 ms); only pre-submitted future
-/// arrivals overflow to the heap.
-const DEFAULT_RING: usize = 4096;
-
-/// A deterministic calendar queue of timed events.
-///
-/// Same `(at, seq)` total order as [`BinaryHeapQueue`] — the two are
-/// interchangeable, and a differential property test holds them identical.
+/// A deterministic queue of timed events, popped in `(at, seq)` order.
 ///
 /// # Example
 ///
@@ -93,27 +66,7 @@ const DEFAULT_RING: usize = 4096;
 /// assert_eq!(order, vec!['a', 'b', 'c']);
 /// ```
 pub struct EventQueue<T> {
-    /// Bucket index = `at.as_nanos() >> shift`.
-    shift: u32,
-    /// Ring of future buckets, len a power of two; slot = `bucket & mask`.
-    buckets: Vec<Vec<Event<T>>>,
-    mask: u64,
-    /// Absolute index of the bucket currently being drained. Every event
-    /// in the ring belongs to a bucket in `(cur, cur + ring_len)`.
-    cur: u64,
-    /// The active bucket's events, sorted *descending* by `(at, seq)` so
-    /// the front is `last()` and consumption is `pop()` — no placeholder
-    /// writes, no cursor.
-    cur_vec: Vec<Event<T>>,
-    /// Events pushed for bucket ≤ `cur` after the bucket was opened
-    /// (same-time cascades, or past-time pushes through the public API).
-    late: BinaryHeap<HeapEntry<T>>,
-    /// Events beyond the ring horizon (`bucket ≥ cur + ring_len`); they
-    /// migrate into the ring as `cur` advances.
-    overflow: BinaryHeap<HeapEntry<T>>,
-    /// Events currently stored in ring buckets.
-    ring_count: usize,
-    len: usize,
+    heap: BinaryHeap<HeapEntry<T>>,
     next_seq: u64,
     /// Lifetime count of popped events (survives [`EventQueue::clear`]),
     /// the numerator for events/sec throughput reporting.
@@ -127,10 +80,8 @@ pub struct EventQueue<T> {
 impl<T> std::fmt::Debug for EventQueue<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EventQueue")
-            .field("len", &self.len)
+            .field("len", &self.heap.len())
             .field("next_seq", &self.next_seq)
-            .field("cur_bucket", &self.cur)
-            .field("overflow", &self.overflow.len())
             .finish()
     }
 }
@@ -142,41 +93,10 @@ impl<T> Default for EventQueue<T> {
 }
 
 impl<T> EventQueue<T> {
-    /// Creates an empty queue with the default geometry (16.4 µs buckets,
-    /// 67 ms ring horizon).
+    /// Creates an empty queue.
     pub fn new() -> Self {
-        Self::with_geometry(DEFAULT_SHIFT, DEFAULT_RING)
-    }
-
-    /// Creates an empty queue; `capacity` is advisory (the ring geometry
-    /// is fixed, bucket vectors grow on demand and keep their capacity).
-    pub fn with_capacity(_capacity: usize) -> Self {
-        Self::new()
-    }
-
-    /// Creates a queue with `1 << shift` ns buckets on a ring of
-    /// `ring_len` buckets. Exposed so tests can force bucket rollover and
-    /// overflow migration with tiny geometries.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ring_len` is not a power of two or `shift` ≥ 64.
-    pub fn with_geometry(shift: u32, ring_len: usize) -> Self {
-        assert!(
-            ring_len.is_power_of_two(),
-            "ring_len must be a power of two"
-        );
-        assert!(shift < 64, "shift must leave time bits");
         EventQueue {
-            shift,
-            buckets: (0..ring_len).map(|_| Vec::new()).collect(),
-            mask: ring_len as u64 - 1,
-            cur: 0,
-            cur_vec: Vec::new(),
-            late: BinaryHeap::new(),
-            overflow: BinaryHeap::new(),
-            ring_count: 0,
-            len: 0,
+            heap: BinaryHeap::new(),
             next_seq: 0,
             popped: 0,
             #[cfg(feature = "audit")]
@@ -184,22 +104,11 @@ impl<T> EventQueue<T> {
         }
     }
 
-    #[inline]
-    fn bucket_of(&self, at: SimTime) -> u64 {
-        at.as_nanos() >> self.shift
-    }
-
-    #[inline]
-    fn ring_len(&self) -> u64 {
-        self.mask + 1
-    }
-
     /// Schedules `payload` to fire at `at`. Returns the event's sequence
     /// number (useful for cancellation bookkeeping by the caller).
     pub fn push(&mut self, at: SimTime, payload: T) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.len += 1;
         #[cfg(feature = "audit")]
         {
             // A past-time push (tolerated by the API, never issued by the
@@ -209,312 +118,35 @@ impl<T> EventQueue<T> {
                 self.last_popped = Some(at);
             }
         }
-        let ev = Event { at, seq, payload };
-        let b = self.bucket_of(at);
-        if b == self.cur {
-            // Current-bucket cascade — the common case for flash
-            // completions that land within one bucket width of `now`.
-            // The active bucket is sorted descending, so a binary-searched
-            // insert keeps it ordered without paying heap percolation on
-            // both the push and the pop.
-            let key = (at, seq);
-            let idx = self.cur_vec.partition_point(|e| (e.at, e.seq) > key);
-            self.cur_vec.insert(idx, ev);
-        } else if b < self.cur {
-            // Past-time push through the public API (the engine never
-            // does this): keep it out of the sorted bucket via a heap.
-            self.late.push(HeapEntry(ev));
-        } else if b < self.cur + self.ring_len() {
-            self.buckets[(b & self.mask) as usize].push(ev);
-            self.ring_count += 1;
-        } else {
-            self.overflow.push(HeapEntry(ev));
-        }
-        seq
-    }
-
-    /// Advances `cur` until the active bucket (`cur_vec`/`late`) holds the
-    /// queue's earliest event. Returns `false` when the queue is empty.
-    ///
-    /// Invariant on return (when `true`): every event in `cur_vec` and
-    /// `late` precedes every event still in ring buckets, and ring events
-    /// precede overflow events.
-    fn ensure_front(&mut self) -> bool {
-        loop {
-            if !self.cur_vec.is_empty() || !self.late.is_empty() {
-                return true;
-            }
-            if self.ring_count == 0 && self.overflow.is_empty() {
-                return false;
-            }
-            if self.ring_count == 0 {
-                // Ring empty: jump straight to the bucket before the
-                // overflow minimum instead of scanning empty slots.
-                let min_at = self
-                    .overflow
-                    .peek()
-                    .map(|e| e.0.at)
-                    .expect("overflow checked non-empty");
-                let target = self.bucket_of(min_at);
-                self.cur = self.cur.max(target.saturating_sub(1));
-            }
-            self.cur += 1;
-            // Migrate overflow events that fell inside the horizon. They
-            // are always ≥ cur (overflow held buckets ≥ old horizon), so
-            // they land in ring slots — possibly the one drained next.
-            let horizon = self.cur + self.ring_len();
-            while let Some(peek) = self.overflow.peek() {
-                if self.bucket_of(peek.0.at) >= horizon {
-                    break;
-                }
-                let ev = self.overflow.pop().expect("peek observed an entry").0;
-                let b = self.bucket_of(ev.at);
-                debug_assert!(b >= self.cur, "overflow event migrated into the past");
-                self.buckets[(b & self.mask) as usize].push(ev);
-                self.ring_count += 1;
-            }
-            let slot = (self.cur & self.mask) as usize;
-            if !self.buckets[slot].is_empty() {
-                // Swap the slot's vector in as the active bucket; the
-                // drained vector (with its capacity) becomes the slot's
-                // storage for a future lap, so steady state allocates
-                // nothing.
-                std::mem::swap(&mut self.cur_vec, &mut self.buckets[slot]);
-                self.ring_count -= self.cur_vec.len();
-                self.cur_vec
-                    .sort_unstable_by_key(|e| std::cmp::Reverse((e.at, e.seq)));
-                return true;
-            }
-        }
-    }
-
-    /// `(at, seq)` of the earliest pending event, assuming [`Self::ensure_front`]
-    /// returned `true`.
-    #[inline]
-    fn front_key(&self) -> (SimTime, u64) {
-        let sorted = self.cur_vec.last().map(|e| (e.at, e.seq));
-        let late = self.late.peek().map(|e| (e.0.at, e.0.seq));
-        match (sorted, late) {
-            (Some(a), Some(b)) => a.min(b),
-            (Some(a), None) => a,
-            (None, Some(b)) => b,
-            (None, None) => unreachable!("front_key called on empty active bucket"),
-        }
-    }
-
-    /// Pops the front event, assuming [`Self::ensure_front`] returned `true`.
-    fn pop_front(&mut self) -> Event<T> {
-        let take_late = match (self.cur_vec.last(), self.late.peek()) {
-            (Some(s), Some(l)) => (l.0.at, l.0.seq) < (s.at, s.seq),
-            (None, Some(_)) => true,
-            (Some(_), None) => false,
-            (None, None) => unreachable!("pop_front called on empty active bucket"),
-        };
-        let ev = if take_late {
-            self.late.pop().expect("late peeked non-empty").0
-        } else {
-            self.cur_vec.pop().expect("cur_vec checked non-empty")
-        };
-        self.len -= 1;
-        self.popped += 1;
-        #[cfg(feature = "audit")]
-        {
-            if let Some(prev) = self.last_popped {
-                debug_assert!(
-                    ev.at >= prev,
-                    "event queue popped {} after {prev}: calendar ordering broken",
-                    ev.at
-                );
-            }
-            self.last_popped = Some(ev.at);
-        }
-        ev
-    }
-
-    /// Removes and returns the earliest event, or `None` when empty.
-    pub fn pop(&mut self) -> Option<Event<T>> {
-        if !self.ensure_front() {
-            return None;
-        }
-        Some(self.pop_front())
-    }
-
-    /// The timestamp of the earliest pending event, if any.
-    ///
-    /// Read-only, so it cannot rotate the ring: when the active bucket is
-    /// exhausted this scans ahead for the next occupied slot. Hot paths
-    /// use [`EventQueue::pop_before`], which pays a single comparison.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        let mut best: Option<SimTime> = self.cur_vec.last().map(|e| e.at);
-        if let Some(l) = self.late.peek() {
-            best = Some(best.map_or(l.0.at, |b| b.min(l.0.at)));
-        }
-        if best.is_some() {
-            return best;
-        }
-        if self.ring_count > 0 {
-            for off in 1..=self.ring_len() {
-                let slot = &self.buckets[((self.cur + off) & self.mask) as usize];
-                if let Some(min) = slot.iter().map(|e| e.at).min() {
-                    return Some(min);
-                }
-            }
-        }
-        self.overflow.peek().map(|e| e.0.at)
-    }
-
-    /// Removes and returns the earliest event only if it fires at or
-    /// before `deadline`: the engine loop's fast path, one key comparison
-    /// after the active bucket is positioned (no peek-then-pop double
-    /// traversal).
-    pub fn pop_before(&mut self, deadline: SimTime) -> Option<Event<T>> {
-        if !self.ensure_front() {
-            return None;
-        }
-        if self.front_key().0 > deadline {
-            return None;
-        }
-        Some(self.pop_front())
-    }
-
-    /// Like [`EventQueue::pop_before`] but strict: only events firing
-    /// *before* `deadline`. Used by the engine loop to interleave newly
-    /// scheduled events with an already-drained batch.
-    pub fn pop_strictly_before(&mut self, deadline: SimTime) -> Option<Event<T>> {
-        if !self.ensure_front() {
-            return None;
-        }
-        if self.front_key().0 >= deadline {
-            return None;
-        }
-        Some(self.pop_front())
-    }
-
-    /// Drains every event firing at or before `deadline` into `out`, in
-    /// `(at, seq)` order. When the active bucket lies entirely inside the
-    /// deadline and no late pushes are pending, the whole bucket moves in
-    /// one `memcpy`-class append instead of event-by-event pops.
-    pub fn drain_before(&mut self, deadline: SimTime, out: &mut Vec<Event<T>>) {
-        #[cfg(feature = "audit")]
-        let drained_from = out.len();
-        while self.ensure_front() {
-            if self.late.is_empty() {
-                // `cur_vec` is sorted descending, so `first()` is its
-                // latest event: when that fits the deadline the whole
-                // bucket moves in one reversed append.
-                if let Some(max) = self.cur_vec.first() {
-                    if max.at <= deadline {
-                        let n = self.cur_vec.len();
-                        self.len -= n;
-                        self.popped += n as u64;
-                        out.extend(self.cur_vec.drain(..).rev());
-                        continue;
-                    }
-                }
-            }
-            if self.front_key().0 > deadline {
-                break;
-            }
-            out.push(self.pop_front());
-        }
-        #[cfg(feature = "audit")]
-        {
-            // The caller dispatches the drained batch in order and may
-            // interleave fresh pops before later batch entries, so the
-            // monotonicity watermark rolls back to the batch's *first*
-            // event: nothing can legitimately pop earlier than that
-            // (handlers only push at or after the entry being dispatched,
-            // and everything left in the queue fires past `deadline`).
-            if let Some(first) = out.get(drained_from) {
-                self.last_popped = Some(first.at);
-            }
-        }
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Lifetime count of events popped from this queue (not reset by
-    /// [`EventQueue::clear`]): the sim-events/sec numerator for
-    /// throughput reporting.
-    pub fn popped(&self) -> u64 {
-        self.popped
-    }
-
-    /// Drops all pending events (and, under the `audit` feature, the
-    /// popped-time watermark — a cleared queue may be reused for a new run).
-    pub fn clear(&mut self) {
-        for b in &mut self.buckets {
-            b.clear();
-        }
-        self.cur_vec.clear();
-        self.late.clear();
-        self.overflow.clear();
-        self.ring_count = 0;
-        self.len = 0;
-        #[cfg(feature = "audit")]
-        {
-            self.last_popped = None;
-        }
-    }
-}
-
-/// The reference binary-heap event queue: identical `(at, seq)` semantics
-/// to [`EventQueue`], kept for differential testing and as the simplest
-/// correct implementation.
-pub struct BinaryHeapQueue<T> {
-    heap: BinaryHeap<HeapEntry<T>>,
-    next_seq: u64,
-    popped: u64,
-}
-
-impl<T> std::fmt::Debug for BinaryHeapQueue<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("BinaryHeapQueue")
-            .field("len", &self.heap.len())
-            .field("next_seq", &self.next_seq)
-            .finish()
-    }
-}
-
-impl<T> Default for BinaryHeapQueue<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<T> BinaryHeapQueue<T> {
-    /// Creates an empty queue.
-    pub fn new() -> Self {
-        BinaryHeapQueue {
-            heap: BinaryHeap::new(),
-            next_seq: 0,
-            popped: 0,
-        }
-    }
-
-    /// Schedules `payload` to fire at `at`; returns its sequence number.
-    pub fn push(&mut self, at: SimTime, payload: T) -> u64 {
-        let seq = self.next_seq;
-        self.next_seq += 1;
         self.heap.push(HeapEntry(Event { at, seq, payload }));
         seq
     }
 
     /// Removes and returns the earliest event, or `None` when empty.
     pub fn pop(&mut self) -> Option<Event<T>> {
-        let ev = self.heap.pop().map(|e| e.0);
-        if ev.is_some() {
-            self.popped += 1;
+        let ev = self.heap.pop()?.0;
+        self.popped += 1;
+        #[cfg(feature = "audit")]
+        {
+            if let Some(prev) = self.last_popped {
+                debug_assert!(
+                    ev.at >= prev,
+                    "event queue popped {} after {prev}: heap ordering broken",
+                    ev.at
+                );
+            }
+            self.last_popped = Some(ev.at);
         }
-        ev
+        Some(ev)
+    }
+
+    /// Removes and returns the earliest event only if it fires at or
+    /// before `deadline`: the engine loop's single peek-and-pop step.
+    pub fn pop_before(&mut self, deadline: SimTime) -> Option<Event<T>> {
+        if self.peek_time()? > deadline {
+            return None;
+        }
+        self.pop()
     }
 
     /// The timestamp of the earliest pending event, if any.
@@ -532,9 +164,21 @@ impl<T> BinaryHeapQueue<T> {
         self.heap.is_empty()
     }
 
-    /// Lifetime count of popped events.
+    /// Lifetime count of events popped from this queue (not reset by
+    /// [`EventQueue::clear`]): the sim-events/sec numerator for
+    /// throughput reporting.
     pub fn popped(&self) -> u64 {
         self.popped
+    }
+
+    /// Drops all pending events (and, under the `audit` feature, the
+    /// popped-time watermark — a cleared queue may be reused for a new run).
+    pub fn clear(&mut self) {
+        self.heap.clear();
+        #[cfg(feature = "audit")]
+        {
+            self.last_popped = None;
+        }
     }
 }
 
@@ -576,17 +220,10 @@ mod tests {
         );
         assert!(q.pop_before(SimTime::from_micros(50)).is_none());
         assert_eq!(q.len(), 1);
-    }
-
-    #[test]
-    fn pop_strictly_before_excludes_the_deadline_instant() {
-        let mut q = EventQueue::new();
-        q.push(SimTime::from_micros(10), "at");
-        assert!(q.pop_strictly_before(SimTime::from_micros(10)).is_none());
+        // The deadline is inclusive: an event firing exactly at it pops.
         assert_eq!(
-            q.pop_strictly_before(SimTime::from_micros(11))
-                .map(|e| e.payload),
-            Some("at")
+            q.pop_before(SimTime::from_micros(100)).map(|e| e.payload),
+            Some("late")
         );
     }
 
@@ -598,16 +235,6 @@ mod tests {
         assert_eq!(q.peek_time(), Some(SimTime::from_micros(7)));
         q.pop();
         assert!(q.is_empty());
-    }
-
-    #[test]
-    fn peek_time_sees_ring_and_overflow() {
-        // Tiny geometry: 1 µs buckets, 4-slot ring → 4 µs horizon.
-        let mut q = EventQueue::with_geometry(10, 4);
-        q.push(SimTime::from_millis(5), "overflow");
-        assert_eq!(q.peek_time(), Some(SimTime::from_millis(5)));
-        q.push(SimTime::from_micros(2), "ring");
-        assert_eq!(q.peek_time(), Some(SimTime::from_micros(2)));
     }
 
     #[test]
@@ -637,23 +264,6 @@ mod tests {
     }
 
     #[test]
-    fn drain_before_pops_batch_in_order() {
-        let mut q = EventQueue::new();
-        for (t, p) in [(30, 'c'), (10, 'a'), (20, 'b'), (90, 'z')] {
-            q.push(SimTime::from_micros(t), p);
-        }
-        let mut out = Vec::new();
-        q.drain_before(SimTime::from_micros(50), &mut out);
-        let got: Vec<char> = out.iter().map(|e| e.payload).collect();
-        assert_eq!(got, vec!['a', 'b', 'c']);
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.popped(), 3);
-        out.clear();
-        q.drain_before(SimTime::from_micros(50), &mut out);
-        assert!(out.is_empty());
-    }
-
-    #[test]
     fn past_time_pushes_still_order_correctly() {
         // The engine never pushes into the past, but the API tolerates it.
         let mut q = EventQueue::new();
@@ -663,114 +273,6 @@ mod tests {
         q.push(SimTime::from_millis(20), "later");
         assert_eq!(q.pop().map(|e| e.payload), Some("past"));
         assert_eq!(q.pop().map(|e| e.payload), Some("later"));
-    }
-
-    /// Generates an engine-like schedule: bursts of same-time events,
-    /// short cascades, occasional far-future jumps. Interleaves pushes
-    /// and pops so the ring rotates and overflow migrates mid-stream.
-    #[allow(clippy::type_complexity)]
-    fn adversarial_case(
-        rng: &mut SmallRng,
-        shift: u32,
-        ring: usize,
-    ) -> (Vec<(SimTime, u32)>, Vec<(SimTime, u64, u32)>) {
-        let mut cal = EventQueue::with_geometry(shift, ring);
-        let mut heap = BinaryHeapQueue::new();
-        let mut pushed = Vec::new();
-        let mut popped = Vec::new();
-        let mut now = 0u64;
-        let mut payload = 0u32;
-        let n_ops = rng.gen_range(10usize..400);
-        for _ in 0..n_ops {
-            match rng.gen_range(0u64..10) {
-                // Burst: several events at one instant (FIFO tie-break).
-                0..=2 => {
-                    let t = now + rng.gen_range(0u64..(1 << (shift + 2)));
-                    for _ in 0..rng.gen_range(1u64..6) {
-                        let at = SimTime::from_nanos(t);
-                        cal.push(at, payload);
-                        heap.push(at, payload);
-                        pushed.push((at, payload));
-                        payload += 1;
-                    }
-                }
-                // Clustered near-future push (bucket-local).
-                3..=5 => {
-                    let at = SimTime::from_nanos(now + rng.gen_range(0u64..(1 << shift)));
-                    cal.push(at, payload);
-                    heap.push(at, payload);
-                    pushed.push((at, payload));
-                    payload += 1;
-                }
-                // Far-future push beyond the ring horizon (overflow).
-                6 => {
-                    let horizon = (ring as u64) << shift;
-                    let at = SimTime::from_nanos(now + horizon + rng.gen_range(0u64..4 * horizon));
-                    cal.push(at, payload);
-                    heap.push(at, payload);
-                    pushed.push((at, payload));
-                    payload += 1;
-                }
-                // Pop a few: time advances to what pops (monotone driver),
-                // which rotates the ring across bucket boundaries.
-                _ => {
-                    for _ in 0..rng.gen_range(1u64..4) {
-                        let a = cal.pop();
-                        let b = heap.pop();
-                        match (a, b) {
-                            (None, None) => break,
-                            (Some(x), Some(y)) => {
-                                assert_eq!((x.at, x.seq), (y.at, y.seq));
-                                assert_eq!(x.payload, y.payload);
-                                now = now.max(x.at.as_nanos());
-                                popped.push((x.at, x.seq, x.payload));
-                            }
-                            (a, b) => panic!(
-                                "queues disagree on emptiness: cal={:?} heap={:?}",
-                                a.map(|e| e.at),
-                                b.map(|e| e.at)
-                            ),
-                        }
-                    }
-                }
-            }
-        }
-        // Drain the rest.
-        loop {
-            let (a, b) = (cal.pop(), heap.pop());
-            match (a, b) {
-                (None, None) => break,
-                (Some(x), Some(y)) => {
-                    assert_eq!((x.at, x.seq), (y.at, y.seq));
-                    assert_eq!(x.payload, y.payload);
-                    popped.push((x.at, x.seq, x.payload));
-                }
-                _ => panic!("queues disagree on length"),
-            }
-        }
-        assert_eq!(cal.popped(), heap.popped());
-        (pushed, popped)
-    }
-
-    /// Differential property: the calendar queue pops the exact
-    /// `(at, seq, payload)` stream of the reference binary heap over
-    /// randomized clustered/adversarial schedules, across bucket
-    /// rollover and far-future overflow, for several ring geometries.
-    #[test]
-    fn prop_calendar_matches_heap() {
-        let mut rng = SmallRng::seed_from_u64(0xca1e_0dae);
-        // Tiny rings force constant rollover + overflow migration; the
-        // default geometry exercises the production fast paths.
-        for (shift, ring) in [(4, 2), (6, 4), (10, 16), (DEFAULT_SHIFT, DEFAULT_RING)] {
-            for _case in 0..128 {
-                let (pushed, popped) = adversarial_case(&mut rng, shift, ring);
-                assert_eq!(pushed.len(), popped.len());
-                // Sorted by time, FIFO among equal stamps.
-                for w in popped.windows(2) {
-                    assert!(w[0].0 < w[1].0 || (w[0].0 == w[1].0 && w[0].1 < w[1].1));
-                }
-            }
-        }
     }
 
     /// Property: pops come out sorted by time, FIFO among equal stamps.
@@ -797,42 +299,6 @@ mod tests {
                 }
             }
             assert_eq!(popped.len(), times.len());
-        }
-    }
-
-    /// Property: drain_before equals repeated pop_before on the
-    /// reference queue, including deadlines inside a bucket.
-    #[test]
-    fn prop_drain_matches_reference_pops() {
-        let mut rng = SmallRng::seed_from_u64(0xdead_beef);
-        for _case in 0..128 {
-            let mut cal = EventQueue::with_geometry(8, 8);
-            let mut heap = BinaryHeapQueue::new();
-            let n = rng.gen_range(1usize..150);
-            for i in 0..n {
-                let at = SimTime::from_nanos(rng.gen_range(0u64..50_000));
-                cal.push(at, i);
-                heap.push(at, i);
-            }
-            let mut deadline = 0u64;
-            while !heap.is_empty() {
-                deadline += rng.gen_range(0u64..20_000);
-                let d = SimTime::from_nanos(deadline);
-                let mut batch = Vec::new();
-                cal.drain_before(d, &mut batch);
-                let mut want = Vec::new();
-                while let Some(t) = heap.peek_time() {
-                    if t > d {
-                        break;
-                    }
-                    want.push(heap.pop().expect("peeked"));
-                }
-                assert_eq!(batch.len(), want.len(), "deadline {deadline}");
-                for (a, b) in batch.iter().zip(&want) {
-                    assert_eq!((a.at, a.seq, a.payload), (b.at, b.seq, b.payload));
-                }
-            }
-            assert!(cal.is_empty());
         }
     }
 }

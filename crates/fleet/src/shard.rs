@@ -1,41 +1,30 @@
 //! One fleet shard: an SSD engine with fixed vSSD slots that tenants
 //! attach to and detach from at window boundaries.
 //!
-//! The tick loop is `fleetio::Colocation::run_window` adapted to
-//! optional occupancy: empty slots stay provisioned (their window
-//! summaries flush as idle), and a freshly detached slot keeps
-//! completing in-flight requests — the drain the control plane waits
-//! out before reusing the slot. Migration is control-plane only: no
-//! engine state moves, the tenant's generator restarts at the
-//! destination from an epoch-derived seed, fast-forwarded to the
-//! shard's current simulated time.
+//! Windows run on `fleetio::driver::drive`, the tick loop
+//! `fleetio::Colocation` uses, fed only by occupied slots: empty slots
+//! stay provisioned (their window summaries flush as idle), and a
+//! freshly detached slot keeps completing in-flight requests — the
+//! drain the control plane waits out before reusing the slot.
+//! Migration is control-plane only: no engine state moves, the
+//! tenant's generator restarts at the destination from an
+//! epoch-derived seed, fast-forwarded to the shard's current simulated
+//! time.
 
 use fleetio_des::window::WindowSummary;
 use fleetio_des::{LatencyHistogram, SimDuration};
 use fleetio_obs::{ObsEvent, ObsSink};
 use fleetio_vssd::engine::{Engine, EngineConfig, VssdSnapshot};
-use fleetio_vssd::request::{IoOp, IoRequest};
 use fleetio_vssd::vssd::{VssdConfig, VssdId};
-use fleetio_workloads::gen::ClosedLoopWorkload;
-use fleetio_workloads::{SyntheticWorkload, TraceRecord, WorkloadKind};
+use fleetio_workloads::{TraceRecord, WorkloadKind};
 
 use fleetio::actions::AgentAction;
-
-#[derive(Debug)]
-enum Source {
-    Open(SyntheticWorkload),
-    Closed {
-        gen: ClosedLoopWorkload,
-        outstanding: u32,
-    },
-}
+use fleetio::driver::{drive, TenantFeed};
 
 #[derive(Debug)]
 struct Resident {
     tenant: u32,
-    kind: WorkloadKind,
-    source: Source,
-    trace: Vec<TraceRecord>,
+    feed: TenantFeed,
 }
 
 #[derive(Debug)]
@@ -74,8 +63,6 @@ pub struct Shard {
     engine: Engine,
     slots: Vec<Slot>,
     window: SimDuration,
-    tick: SimDuration,
-    trace_cap: usize,
 }
 
 impl Shard {
@@ -105,8 +92,6 @@ impl Shard {
             engine: Engine::new(engine_cfg, slot_configs),
             slots,
             window,
-            tick: SimDuration::from_millis(1),
-            trace_cap: 100_000,
         }
     }
 
@@ -132,7 +117,7 @@ impl Shard {
 
     /// The workload kind running in `slot`, if occupied.
     pub fn kind_at(&self, slot: usize) -> Option<WorkloadKind> {
-        self.slots[slot].resident.as_ref().map(|r| r.kind)
+        self.slots[slot].resident.as_ref().map(|r| r.feed.kind())
     }
 
     /// The I/O trace collected for the resident of `slot` (newest
@@ -143,11 +128,12 @@ impl Shard {
     ///
     /// Panics if the slot is empty.
     pub fn trace_at(&self, slot: usize) -> &[TraceRecord] {
-        &self.slots[slot]
+        self.slots[slot]
             .resident
             .as_ref()
             .expect("slot is occupied")
-            .trace
+            .feed
+            .trace()
     }
 
     /// The logical capacity of `slot`'s vSSD in bytes.
@@ -189,22 +175,8 @@ impl Shard {
         let capacity = self.engine.logical_capacity_bytes(vssd);
         let mut spec = kind.spec();
         spec.rotate_phases(phase_rotation as usize);
-        let source = if spec.is_closed_loop() {
-            Source::Closed {
-                gen: ClosedLoopWorkload::new(spec, capacity, seed),
-                outstanding: 0,
-            }
-        } else {
-            let mut gen = SyntheticWorkload::new(spec, capacity, seed);
-            let _ = gen.requests_until(self.engine.now());
-            Source::Open(gen)
-        };
-        self.slots[slot].resident = Some(Resident {
-            tenant,
-            kind,
-            source,
-            trace: Vec::new(),
-        });
+        let feed = TenantFeed::new(vssd, kind, spec, capacity, seed).starting_at(self.engine.now());
+        self.slots[slot].resident = Some(Resident { tenant, feed });
     }
 
     /// Detaches the resident of `slot`, returning the tenant index and
@@ -220,7 +192,7 @@ impl Shard {
             .resident
             .take()
             .expect("detach of an empty slot");
-        (resident.tenant, resident.trace)
+        (resident.tenant, resident.feed.into_trace())
     }
 
     /// Applies one tenant's RL decision to `slot`: priority plus the
@@ -258,52 +230,12 @@ impl Shard {
     /// report every window).
     pub fn run_window(&mut self) -> ShardWindowReport {
         let end = self.engine.now() + self.window;
-        while self.engine.now() < end {
-            let t = (self.engine.now() + self.tick).min(end);
-            // Open-loop arrivals up to t.
-            for slot in &mut self.slots {
-                let Some(res) = slot.resident.as_mut() else {
-                    continue;
-                };
-                if let Source::Open(gen) = &mut res.source {
-                    for rec in gen.requests_until(t) {
-                        push_trace(&mut res.trace, self.trace_cap, rec);
-                        self.engine.submit(to_request(slot.vssd, rec));
-                    }
-                }
-            }
-            self.engine.run_until(t);
-            // Account completions against closed-loop windows. A
-            // completion on a detached slot belongs to a drained
-            // tenant; nothing to account.
-            for c in self.engine.drain_completed() {
-                if let Some(slot) = self.slots.iter_mut().find(|s| s.vssd == c.vssd) {
-                    if let Some(Resident {
-                        source: Source::Closed { outstanding, .. },
-                        ..
-                    }) = slot.resident.as_mut()
-                    {
-                        *outstanding = outstanding.saturating_sub(1);
-                    }
-                }
-            }
-            // Top closed-loop sources up to their phase concurrency.
-            let now = self.engine.now();
-            for slot in &mut self.slots {
-                let Some(res) = slot.resident.as_mut() else {
-                    continue;
-                };
-                if let Source::Closed { gen, outstanding } = &mut res.source {
-                    let target = gen.concurrency_at(now);
-                    while *outstanding < target {
-                        let rec = gen.make_request(now);
-                        push_trace(&mut res.trace, self.trace_cap, rec);
-                        self.engine.submit(to_request(slot.vssd, rec));
-                        *outstanding += 1;
-                    }
-                }
-            }
-        }
+        let mut feeds: Vec<&mut TenantFeed> = self
+            .slots
+            .iter_mut()
+            .filter_map(|s| s.resident.as_mut().map(|r| &mut r.feed))
+            .collect();
+        drive(&mut self.engine, &mut feeds, end);
         // Latency histograms and queue depths are read before
         // `finish_window` resets the per-window accumulators.
         let latencies: Vec<LatencyHistogram> = self
@@ -319,10 +251,7 @@ impl Shard {
         let summaries: Vec<(VssdId, WindowSummary)> = self
             .slots
             .iter()
-            .map(|s| s.vssd)
-            .collect::<Vec<_>>()
-            .into_iter()
-            .map(|vssd| (vssd, self.engine.finish_window(vssd)))
+            .map(|s| (s.vssd, self.engine.finish_window(s.vssd)))
             .collect();
         let snapshots = self
             .slots
@@ -350,25 +279,6 @@ impl Shard {
     pub fn emit_obs(&mut self, ev: ObsEvent) {
         self.engine.emit_obs(ev);
     }
-}
-
-fn to_request(vssd: VssdId, rec: TraceRecord) -> IoRequest {
-    IoRequest {
-        vssd,
-        op: if rec.is_read { IoOp::Read } else { IoOp::Write },
-        offset: rec.offset,
-        len: rec.len,
-        arrival: rec.at,
-    }
-}
-
-fn push_trace(trace: &mut Vec<TraceRecord>, cap: usize, rec: TraceRecord) {
-    if trace.len() >= cap {
-        // Keep the newest half when full.
-        let half = cap / 2;
-        trace.drain(..half);
-    }
-    trace.push(rec);
 }
 
 #[cfg(test)]

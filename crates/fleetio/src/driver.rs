@@ -2,18 +2,19 @@
 //!
 //! Latency-sensitive workloads replay open-loop (timed Poisson arrivals);
 //! bandwidth-intensive workloads run closed-loop (a target number of
-//! outstanding requests, §see `fleetio-workloads`). The driver advances
+//! outstanding requests, §see `fleetio-workloads`). [`drive`] advances
 //! the engine in small ticks so closed-loop sources are topped up promptly
-//! after completions, and freezes per-vSSD window summaries at each
-//! decision boundary.
+//! after completions; it is the one tenant loop, shared by [`Colocation`]
+//! and the fleet's shards. [`Colocation`] freezes per-vSSD window
+//! summaries at each decision boundary.
 
 use fleetio_des::window::WindowSummary;
-use fleetio_des::SimDuration;
+use fleetio_des::{SimDuration, SimTime};
 use fleetio_vssd::engine::{Engine, EngineConfig};
 use fleetio_vssd::request::{IoOp, IoRequest};
 use fleetio_vssd::vssd::{VssdConfig, VssdId};
 use fleetio_workloads::gen::ClosedLoopWorkload;
-use fleetio_workloads::{SyntheticWorkload, TraceRecord, WorkloadKind};
+use fleetio_workloads::{SyntheticWorkload, TraceRecord, WorkloadKind, WorkloadSpec};
 
 /// One tenant of a collocation: a vSSD plus the workload running on it.
 #[derive(Debug, Clone, PartialEq)]
@@ -50,6 +51,13 @@ impl TenantSpec {
     }
 }
 
+/// Host tick: the driver submits open-loop arrivals and tops closed-loop
+/// sources up every `TICK` of simulated time.
+const TICK: SimDuration = SimDuration::from_millis(1);
+
+/// Trace records kept per tenant; when full, the oldest half is dropped.
+const TRACE_CAP: usize = 100_000;
+
 #[derive(Debug)]
 enum Source {
     Open(SyntheticWorkload),
@@ -59,22 +67,140 @@ enum Source {
     },
 }
 
+impl Source {
+    fn new(spec: WorkloadSpec, capacity: u64, seed: u64) -> Self {
+        if spec.is_closed_loop() {
+            Source::Closed {
+                gen: ClosedLoopWorkload::new(spec, capacity, seed),
+                outstanding: 0,
+            }
+        } else {
+            Source::Open(SyntheticWorkload::new(spec, capacity, seed))
+        }
+    }
+
+    /// Discards open-loop arrivals up to `now`, so the stream starts then.
+    fn skip_to(&mut self, now: SimTime) {
+        if let Source::Open(gen) = self {
+            let _ = gen.requests_until(now);
+        }
+    }
+}
+
+/// One tenant's I/O feed into an engine: the vSSD it drives, the workload
+/// generating its requests, and the trace of requests it has submitted.
+/// [`drive`] advances an engine with a set of feeds.
 #[derive(Debug)]
-struct Tenant {
-    id: VssdId,
+pub struct TenantFeed {
+    vssd: VssdId,
     kind: WorkloadKind,
     source: Source,
     trace: Vec<TraceRecord>,
+}
+
+impl TenantFeed {
+    /// A feed of `spec` (reported as `kind`) into `vssd`, whose logical
+    /// capacity is `capacity` bytes. The open-loop clock starts at zero.
+    pub fn new(
+        vssd: VssdId,
+        kind: WorkloadKind,
+        spec: WorkloadSpec,
+        capacity: u64,
+        seed: u64,
+    ) -> Self {
+        TenantFeed {
+            vssd,
+            kind,
+            source: Source::new(spec, capacity, seed),
+            trace: Vec::new(),
+        }
+    }
+
+    /// Starts the open-loop clock at `now` instead of zero.
+    pub fn starting_at(mut self, now: SimTime) -> Self {
+        self.source.skip_to(now);
+        self
+    }
+
+    /// The workload kind the feed reports.
+    pub fn kind(&self) -> WorkloadKind {
+        self.kind
+    }
+
+    /// The newest submitted requests, up to an internal cap.
+    pub fn trace(&self) -> &[TraceRecord] {
+        &self.trace
+    }
+
+    /// Consumes the feed, returning its trace.
+    pub fn into_trace(self) -> Vec<TraceRecord> {
+        self.trace
+    }
+}
+
+fn to_request(vssd: VssdId, rec: TraceRecord) -> IoRequest {
+    IoRequest {
+        vssd,
+        op: if rec.is_read { IoOp::Read } else { IoOp::Write },
+        offset: rec.offset,
+        len: rec.len,
+        arrival: rec.at,
+    }
+}
+
+fn push_trace(trace: &mut Vec<TraceRecord>, rec: TraceRecord) {
+    if trace.len() >= TRACE_CAP {
+        // Keep the newest half when full.
+        trace.drain(..TRACE_CAP / 2);
+    }
+    trace.push(rec);
+}
+
+/// Advances `engine` to `end`, one host tick at a time, feeding it from
+/// `feeds`: each tick submits open-loop arrivals up to the tick's end,
+/// runs the engine there, credits completions back to closed-loop
+/// sources, and tops those up to their phase concurrency. A completion on
+/// a vSSD without a feed (a detached fleet slot draining) is ignored.
+pub fn drive(engine: &mut Engine, feeds: &mut [&mut TenantFeed], end: SimTime) {
+    while engine.now() < end {
+        let t = (engine.now() + TICK).min(end);
+        for feed in feeds.iter_mut() {
+            if let Source::Open(gen) = &mut feed.source {
+                for rec in gen.requests_until(t) {
+                    push_trace(&mut feed.trace, rec);
+                    engine.submit(to_request(feed.vssd, rec));
+                }
+            }
+        }
+        engine.run_until(t);
+        for c in engine.drain_completed() {
+            if let Some(feed) = feeds.iter_mut().find(|f| f.vssd == c.vssd) {
+                if let Source::Closed { outstanding, .. } = &mut feed.source {
+                    *outstanding = outstanding.saturating_sub(1);
+                }
+            }
+        }
+        let now = engine.now();
+        for feed in feeds.iter_mut() {
+            if let Source::Closed { gen, outstanding } = &mut feed.source {
+                let target = gen.concurrency_at(now);
+                while *outstanding < target {
+                    let rec = gen.make_request(now);
+                    push_trace(&mut feed.trace, rec);
+                    engine.submit(to_request(feed.vssd, rec));
+                    *outstanding += 1;
+                }
+            }
+        }
+    }
 }
 
 /// A running collocation experiment.
 #[derive(Debug)]
 pub struct Colocation {
     engine: Engine,
-    tenants: Vec<Tenant>,
+    tenants: Vec<TenantFeed>,
     window: SimDuration,
-    tick: SimDuration,
-    trace_cap: usize,
 }
 
 impl Colocation {
@@ -92,29 +218,13 @@ impl Colocation {
             .map(|spec| {
                 let id = spec.config.id;
                 let capacity = engine.logical_capacity_bytes(id);
-                let spec_w = spec.kind.spec();
-                let source = if spec_w.is_closed_loop() {
-                    Source::Closed {
-                        gen: ClosedLoopWorkload::new(spec_w, capacity, spec.seed),
-                        outstanding: 0,
-                    }
-                } else {
-                    Source::Open(SyntheticWorkload::new(spec_w, capacity, spec.seed))
-                };
-                Tenant {
-                    id,
-                    kind: spec.kind,
-                    source,
-                    trace: Vec::new(),
-                }
+                TenantFeed::new(id, spec.kind, spec.kind.spec(), capacity, spec.seed)
             })
             .collect();
         Colocation {
             engine,
             tenants,
             window,
-            tick: SimDuration::from_millis(1),
-            trace_cap: 100_000,
         }
     }
 
@@ -147,7 +257,21 @@ impl Colocation {
 
     /// Tenant ids in registration order.
     pub fn tenant_ids(&self) -> Vec<VssdId> {
-        self.tenants.iter().map(|t| t.id).collect()
+        self.tenants.iter().map(|t| t.vssd).collect()
+    }
+
+    fn tenant_mut(&mut self, id: VssdId) -> &mut TenantFeed {
+        self.tenants
+            .iter_mut()
+            .find(|t| t.vssd == id)
+            .unwrap_or_else(|| panic!("unknown tenant {id}"))
+    }
+
+    fn tenant(&self, id: VssdId) -> &TenantFeed {
+        self.tenants
+            .iter()
+            .find(|t| t.vssd == id)
+            .unwrap_or_else(|| panic!("unknown tenant {id}"))
     }
 
     /// The workload kind running on `id`.
@@ -156,11 +280,7 @@ impl Colocation {
     ///
     /// Panics if `id` is not a tenant.
     pub fn kind_of(&self, id: VssdId) -> WorkloadKind {
-        self.tenants
-            .iter()
-            .find(|t| t.id == id)
-            .unwrap_or_else(|| panic!("unknown tenant {id}"))
-            .kind
+        self.tenant(id).kind
     }
 
     /// Swaps the workload on tenant `id` (used by the Figure 17 robustness
@@ -171,30 +291,21 @@ impl Colocation {
     /// Panics if `id` is not a tenant.
     pub fn swap_workload(&mut self, id: VssdId, kind: WorkloadKind, seed: u64) {
         let capacity = self.engine.logical_capacity_bytes(id);
-        let tenant = self
-            .tenants
-            .iter_mut()
-            .find(|t| t.id == id)
-            .unwrap_or_else(|| panic!("unknown tenant {id}"));
-        let spec = kind.spec();
+        let now = self.engine.now();
+        let tenant = self.tenant_mut(id);
         // Carry over the outstanding count so in-flight requests drain
         // naturally under the new source.
-        let outstanding = match &tenant.source {
+        let carried = match &tenant.source {
             Source::Closed { outstanding, .. } => *outstanding,
             Source::Open(_) => 0,
         };
+        let mut source = Source::new(kind.spec(), capacity, seed);
+        source.skip_to(now);
+        if let Source::Closed { outstanding, .. } = &mut source {
+            *outstanding = carried;
+        }
         tenant.kind = kind;
-        tenant.source = if spec.is_closed_loop() {
-            Source::Closed {
-                gen: ClosedLoopWorkload::new(spec, capacity, seed),
-                outstanding,
-            }
-        } else {
-            let mut gen = SyntheticWorkload::new(spec, capacity, seed);
-            // Fast-forward the open-loop clock to now.
-            let _ = gen.requests_until(self.engine.now());
-            Source::Open(gen)
-        };
+        tenant.source = source;
     }
 
     /// Replaces tenant `id`'s generator with an arbitrary spec (used by
@@ -204,21 +315,9 @@ impl Colocation {
     /// # Panics
     ///
     /// Panics if `id` is not a tenant or the spec is invalid.
-    pub fn override_spec(&mut self, id: VssdId, spec: fleetio_workloads::WorkloadSpec, seed: u64) {
+    pub fn override_spec(&mut self, id: VssdId, spec: WorkloadSpec, seed: u64) {
         let capacity = self.engine.logical_capacity_bytes(id);
-        let tenant = self
-            .tenants
-            .iter_mut()
-            .find(|t| t.id == id)
-            .unwrap_or_else(|| panic!("unknown tenant {id}"));
-        tenant.source = if spec.is_closed_loop() {
-            Source::Closed {
-                gen: ClosedLoopWorkload::new(spec, capacity, seed),
-                outstanding: 0,
-            }
-        } else {
-            Source::Open(SyntheticWorkload::new(spec, capacity, seed))
-        };
+        self.tenant_mut(id).source = Source::new(spec, capacity, seed);
     }
 
     /// The decision-window length.
@@ -229,9 +328,8 @@ impl Colocation {
     /// Pre-fills every tenant's vSSD to `fraction` of its logical space
     /// (§4.1 warm-up).
     pub fn warm_up(&mut self, fraction: f64) {
-        let ids = self.tenant_ids();
-        for id in ids {
-            self.engine.warm_up(id, fraction);
+        for t in &self.tenants {
+            self.engine.warm_up(t.vssd, fraction);
         }
     }
 
@@ -242,59 +340,18 @@ impl Colocation {
     ///
     /// Panics if `id` is not a tenant.
     pub fn trace_of(&self, id: VssdId) -> &[TraceRecord] {
-        &self
-            .tenants
-            .iter()
-            .find(|t| t.id == id)
-            .unwrap_or_else(|| panic!("unknown tenant {id}"))
-            .trace
+        &self.tenant(id).trace
     }
 
     /// Advances one decision window, feeding workloads and returning the
     /// per-tenant window summaries in tenant order.
     pub fn run_window(&mut self) -> Vec<(VssdId, WindowSummary)> {
         let end = self.engine.now() + self.window;
-        while self.engine.now() < end {
-            let t = (self.engine.now() + self.tick).min(end);
-            // Open-loop arrivals up to t.
-            for tenant in &mut self.tenants {
-                if let Source::Open(gen) = &mut tenant.source {
-                    for rec in gen.requests_until(t) {
-                        push_trace(&mut tenant.trace, self.trace_cap, rec);
-                        self.engine.submit(to_request(tenant.id, rec));
-                    }
-                }
-            }
-            self.engine.run_until(t);
-            // Account completions against closed-loop windows.
-            let completed = self.engine.drain_completed();
-            for c in completed {
-                if let Some(tenant) = self.tenants.iter_mut().find(|x| x.id == c.vssd) {
-                    if let Source::Closed { outstanding, .. } = &mut tenant.source {
-                        *outstanding = outstanding.saturating_sub(1);
-                    }
-                }
-            }
-            // Top closed-loop sources up to their phase concurrency.
-            let now = self.engine.now();
-            for tenant in &mut self.tenants {
-                if let Source::Closed { gen, outstanding } = &mut tenant.source {
-                    let target = gen.concurrency_at(now);
-                    while *outstanding < target {
-                        let rec = gen.make_request(now);
-                        push_trace(&mut tenant.trace, self.trace_cap, rec);
-                        self.engine.submit(to_request(tenant.id, rec));
-                        *outstanding += 1;
-                    }
-                }
-            }
-        }
+        let mut feeds: Vec<&mut TenantFeed> = self.tenants.iter_mut().collect();
+        drive(&mut self.engine, &mut feeds, end);
         self.tenants
             .iter()
-            .map(|t| t.id)
-            .collect::<Vec<_>>()
-            .into_iter()
-            .map(|id| (id, self.engine.finish_window(id)))
+            .map(|t| (t.vssd, self.engine.finish_window(t.vssd)))
             .collect()
     }
 
@@ -306,29 +363,9 @@ impl Colocation {
     }
 }
 
-fn to_request(vssd: VssdId, rec: TraceRecord) -> IoRequest {
-    IoRequest {
-        vssd,
-        op: if rec.is_read { IoOp::Read } else { IoOp::Write },
-        offset: rec.offset,
-        len: rec.len,
-        arrival: rec.at,
-    }
-}
-
-fn push_trace(trace: &mut Vec<TraceRecord>, cap: usize, rec: TraceRecord) {
-    if trace.len() >= cap {
-        // Keep the newest half when full.
-        let half = cap / 2;
-        trace.drain(..half);
-    }
-    trace.push(rec);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fleetio_des::SimTime;
     use fleetio_flash::addr::ChannelId;
     use fleetio_flash::config::FlashConfig;
 

@@ -1,4 +1,5 @@
-//! Minimal recursive-descent JSON parser (pure std).
+//! Minimal recursive-descent JSON parser (pure std), plus [`quote`], the
+//! workspace's one JSON string escaper.
 //!
 //! Exists so the `fleetio-obs summarize` CLI and the exporter tests can
 //! validate emitted JSON without external crates. Supports the full
@@ -7,6 +8,7 @@
 //! trailing input.
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -87,6 +89,27 @@ pub fn parse(input: &str) -> Result<Value, String> {
         return Err(format!("trailing input at byte {pos}"));
     }
     Ok(value)
+}
+
+/// Renders `s` as a JSON string literal, quotes included.
+pub fn quote(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
 }
 
 fn skip_ws(b: &[u8], pos: &mut usize) {
@@ -272,6 +295,14 @@ mod tests {
         assert_eq!(parse("{}").unwrap(), Value::Obj(BTreeMap::new()));
         assert_eq!(parse("[]").unwrap(), Value::Arr(Vec::new()));
         assert_eq!(parse("\"\\u0041é\"").unwrap().as_str(), Some("Aé"));
+    }
+
+    #[test]
+    fn quote_round_trips_through_parse() {
+        for s in ["plain", "q\"b\\s", "n\nr\rt\t", "\u{1}\u{1f}", "é✓"] {
+            assert_eq!(parse(&quote(s)).unwrap().as_str(), Some(s));
+        }
+        assert_eq!(quote("a\"\n\u{1}"), r#""a\"\n\u0001""#);
     }
 
     #[test]

@@ -128,8 +128,8 @@ impl SeriesSet {
             for (w, v) in self.points(SeriesId(i)) {
                 let _ = writeln!(
                     out,
-                    "{{\"series\":\"{}\",\"window\":{},\"value\":{}}}",
-                    escape(&s.name),
+                    "{{\"series\":{},\"window\":{},\"value\":{}}}",
+                    crate::json::quote(&s.name),
                     w,
                     finite(v)
                 );
@@ -154,22 +154,6 @@ fn finite(v: f64) -> f64 {
     } else {
         0.0
     }
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]

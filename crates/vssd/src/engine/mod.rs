@@ -26,7 +26,7 @@ mod vstate;
 pub use vstate::VssdCumulative;
 
 use fleetio_des::window::WindowSummary;
-use fleetio_des::{Event, EventQueue, Handle, SimDuration, SimTime, Slab};
+use fleetio_des::{EventQueue, Handle, SimDuration, SimTime, Slab};
 use fleetio_flash::addr::{BlockAddr, ChannelId};
 use fleetio_flash::config::FlashConfig;
 use fleetio_flash::device::FlashDevice;
@@ -137,7 +137,7 @@ impl ChanState {
 /// Payloads are small `Copy` values — state that used to ride inside the
 /// event (the full `IoRequest`, the whole `GrantOp`) now lives in engine
 /// slabs, referenced by generation-checked handles. That keeps queue
-/// buckets compact and makes a stale reference a loud panic instead of
+/// entries compact and makes a stale reference a loud panic instead of
 /// silent aliasing.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Ev {
@@ -278,8 +278,6 @@ pub struct Engine {
     /// bookkeeping (they have not reached the queues yet, but write
     /// placement must see them to spread a multi-page request).
     pub(crate) planned: Vec<u32>,
-    /// Reusable event batch for [`Engine::run_until`].
-    pub(crate) batch: Vec<Event<Ev>>,
     /// Scratch buffers for the per-event hot paths. All are drained before
     /// their owning call returns; keeping them on the engine makes the
     /// steady-state event loop allocation-free.
@@ -386,7 +384,6 @@ impl Engine {
             warming: false,
             in_emergency: false,
             planned: vec![0; n_channels],
-            batch: Vec::new(),
             arrival_ops: Vec::new(),
             arrival_touched: Vec::new(),
             gc_op_buf: Vec::new(),
@@ -592,15 +589,8 @@ impl Engine {
         RequestId(id)
     }
 
-    /// Advances simulated time to `t`, processing every event in order.
-    ///
-    /// Events are drained from the calendar queue in whole-bucket batches
-    /// ([`EventQueue::drain_before`]); events a handler schedules *during*
-    /// the batch are interleaved back in by a strictly-before inner pop.
-    /// Ordering is identical to one-at-a-time popping: a drained batch
-    /// took every event at each covered timestamp in seq order, and any
-    /// event pushed afterwards carries a larger seq, so among equal
-    /// timestamps the batch legitimately runs first.
+    /// Advances simulated time to `t`, processing every event in
+    /// `(at, seq)` order, including those handlers schedule along the way.
     ///
     /// # Panics
     ///
@@ -608,24 +598,9 @@ impl Engine {
     pub fn run_until(&mut self, t: SimTime) {
         assert!(t >= self.now, "cannot run backwards");
         let _prof = fleetio_obs::prof::span("engine.run_until");
-        let mut batch = std::mem::take(&mut self.batch);
-        loop {
-            batch.clear();
-            self.events.drain_before(t, &mut batch);
-            if batch.is_empty() {
-                break;
-            }
-            for ev in &batch {
-                // Newly scheduled events that fire strictly before this
-                // batch entry run first (equal-time pushes have larger
-                // seqs and correctly wait their turn).
-                while let Some(inner) = self.events.pop_strictly_before(ev.at) {
-                    self.dispatch_event(inner.at, inner.payload);
-                }
-                self.dispatch_event(ev.at, ev.payload);
-            }
+        while let Some(ev) = self.events.pop_before(t) {
+            self.dispatch_event(ev.at, ev.payload);
         }
-        self.batch = batch;
         self.now = t;
     }
 
