@@ -1,4 +1,5 @@
-//! Typed observability events and their JSONL encoding.
+//! Typed observability events and their two encodings: JSONL and the
+//! binary wire form of [`crate::wire`].
 //!
 //! One [`ObsEvent`] is one fact about the simulation, timestamped in
 //! simulated time. The set mirrors the paper's moving parts: the request
@@ -6,209 +7,367 @@
 //! GC runs, gSB harvest/lend/reclaim transitions, token-bucket throttles
 //! and per-window statistics flushes.
 //!
-//! Encoding is hand-rolled JSON (pure std): integers and `bool`s render
-//! exactly, `f64`s use Rust's shortest-roundtrip `Display` (valid JSON,
-//! deterministic), and non-finite floats are clamped to `0` so a line is
-//! always parseable.
+//! The `obs_events!` table below is the only per-kind description of the
+//! schema: each kind's name, its JSON `type` tag and its fields in wire
+//! order. The enum, [`ObsEvent::KIND_TAGS`], [`ObsEvent::kind_index`],
+//! [`ObsEvent::write_json`] and the wire field codec are generated from
+//! it, and each field type's JSON and wire form is written once, as a
+//! `Field` impl. Kinds, fields and tag-enum variants are append-only:
+//! positions are wire tags and run-store bitmap bits, so never reorder
+//! them.
+//!
+//! JSON is hand-rolled (pure std): integers and `bool`s render exactly,
+//! `f64`s use Rust's shortest-roundtrip `Display` (valid JSON,
+//! deterministic), non-finite floats are clamped to `0` and strings are
+//! escaped, so a line is always parseable.
 
 use std::fmt::Write as _;
 
 use fleetio_des::{SimDuration, SimTime};
 
-/// What a [`ObsEvent::NandOp`] span occupied.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum NandKind {
-    /// Whole-page read (cell read + bus transfer).
-    Read,
-    /// Whole-page program (bus transfer + cell program).
-    Program,
-    /// One bus grant of a time-sliced transfer.
-    BusGrant,
-    /// Cell-only occupancy (the chip half of a time-sliced op).
-    ChipOccupy,
+use crate::wire::{Reader, WireError};
+
+/// One field type's JSON value and wire bytes. The `get` impls are
+/// `#[inline(always)]`: `wire::decode_event` inlines each kind's whole
+/// reader, and a field read left out of line costs it a call per field.
+pub(crate) trait Field: Sized {
+    /// Appends the JSON value.
+    fn write_json(&self, out: &mut String);
+    /// Appends the wire bytes.
+    fn put(&self, out: &mut Vec<u8>);
+    /// Reads the wire bytes back.
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError>;
 }
 
-impl NandKind {
-    /// Stable lowercase tag used in exports.
-    pub fn tag(self) -> &'static str {
-        match self {
-            NandKind::Read => "read",
-            NandKind::Program => "program",
-            NandKind::BusGrant => "bus_grant",
-            NandKind::ChipOccupy => "chip_occupy",
+/// Little-endian fixed width on the wire, decimal in JSON.
+macro_rules! int_field {
+    ($($t:ty),*) => {$(
+        impl Field for $t {
+            fn write_json(&self, out: &mut String) {
+                let _ = write!(out, "{self}");
+            }
+            fn put(&self, out: &mut Vec<u8>) {
+                out.extend_from_slice(&self.to_le_bytes());
+            }
+            #[inline(always)]
+            fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+                r.array().map(<$t>::from_le_bytes)
+            }
         }
-    }
-
-    /// Stable one-byte tag used by the binary wire encoding
-    /// ([`crate::wire`]). Never renumber released values.
-    pub fn wire_tag(self) -> u8 {
-        match self {
-            NandKind::Read => 0,
-            NandKind::Program => 1,
-            NandKind::BusGrant => 2,
-            NandKind::ChipOccupy => 3,
-        }
-    }
-
-    /// Inverse of [`NandKind::wire_tag`].
-    pub fn from_wire_tag(tag: u8) -> Option<Self> {
-        match tag {
-            0 => Some(NandKind::Read),
-            1 => Some(NandKind::Program),
-            2 => Some(NandKind::BusGrant),
-            3 => Some(NandKind::ChipOccupy),
-            _ => None,
-        }
-    }
+    )*};
 }
+int_field!(u16, u32, u64);
 
-/// A ghost-superblock lifecycle transition (§3.6 of the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GsbKind {
-    /// `Make_Harvestable` materialized a new gSB into the pool.
-    Created,
-    /// A harvester acquired the gSB (`Harvest`).
-    Harvested,
-    /// The harvester released the gSB back (level decrease).
-    Released,
-    /// The home vSSD asked for it back; live data drains through GC.
-    ReclaimRequested,
-    /// The gSB's last block was returned; it no longer exists.
-    Destroyed,
+/// Sim-time values travel as their `u64` nanoseconds.
+macro_rules! nanos_field {
+    ($($t:ty),*) => {$(
+        impl Field for $t {
+            fn write_json(&self, out: &mut String) {
+                self.as_nanos().write_json(out);
+            }
+            fn put(&self, out: &mut Vec<u8>) {
+                self.as_nanos().put(out);
+            }
+            #[inline(always)]
+            fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+                u64::get(r).map(<$t>::from_nanos)
+            }
+        }
+    )*};
 }
+nanos_field!(SimTime, SimDuration);
 
-impl GsbKind {
-    /// Stable lowercase tag used in exports.
-    pub fn tag(self) -> &'static str {
-        match self {
-            GsbKind::Created => "created",
-            GsbKind::Harvested => "harvested",
-            GsbKind::Released => "released",
-            GsbKind::ReclaimRequested => "reclaim_requested",
-            GsbKind::Destroyed => "destroyed",
-        }
+/// One `0`/`1` byte on the wire; any other byte is rejected.
+impl Field for bool {
+    fn write_json(&self, out: &mut String) {
+        out.push_str(if *self { "true" } else { "false" });
     }
-
-    /// Stable one-byte tag used by the binary wire encoding
-    /// ([`crate::wire`]). Never renumber released values.
-    pub fn wire_tag(self) -> u8 {
-        match self {
-            GsbKind::Created => 0,
-            GsbKind::Harvested => 1,
-            GsbKind::Released => 2,
-            GsbKind::ReclaimRequested => 3,
-            GsbKind::Destroyed => 4,
-        }
+    fn put(&self, out: &mut Vec<u8>) {
+        out.push(u8::from(*self));
     }
-
-    /// Inverse of [`GsbKind::wire_tag`].
-    pub fn from_wire_tag(tag: u8) -> Option<Self> {
-        match tag {
-            0 => Some(GsbKind::Created),
-            1 => Some(GsbKind::Harvested),
-            2 => Some(GsbKind::Released),
-            3 => Some(GsbKind::ReclaimRequested),
-            4 => Some(GsbKind::Destroyed),
-            _ => None,
+    #[inline(always)]
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        match r.u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            t => Err(WireError::BadTag(t)),
         }
     }
 }
 
-/// A model-lifecycle action (checkpoint management in `fleetio-model`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ModelKind {
-    /// A checkpoint was written (atomic tmp + sync + rename).
-    Saved,
-    /// A checkpoint was decoded and a trainer/agent restored from it.
-    Loaded,
-    /// The trainer was rolled back to the last-good snapshot after a
-    /// reward regression.
-    RolledBack,
-    /// A checkpoint failed verification (bad magic/CRC/truncation).
-    CorruptDetected,
+/// IEEE bits on the wire (bit-exact, NaN payloads included). JSON
+/// clamps non-finite values to `0` so the line stays valid.
+impl Field for f64 {
+    fn write_json(&self, out: &mut String) {
+        if self.is_finite() {
+            let _ = write!(out, "{self}");
+        } else {
+            out.push('0');
+        }
+    }
+    fn put(&self, out: &mut Vec<u8>) {
+        self.to_bits().put(out);
+    }
+    #[inline(always)]
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        u64::get(r).map(f64::from_bits)
+    }
 }
 
-impl ModelKind {
-    /// Stable lowercase tag used in exports.
-    pub fn tag(self) -> &'static str {
+/// `null` in JSON; a presence flag (as a `bool`) then the value on the
+/// wire.
+impl<T: Field> Field for Option<T> {
+    fn write_json(&self, out: &mut String) {
         match self {
-            ModelKind::Saved => "saved",
-            ModelKind::Loaded => "loaded",
-            ModelKind::RolledBack => "rolled_back",
-            ModelKind::CorruptDetected => "corrupt_detected",
+            Some(v) => v.write_json(out),
+            None => out.push_str("null"),
         }
     }
-
-    /// Stable one-byte tag used by the binary wire encoding
-    /// ([`crate::wire`]). Never renumber released values.
-    pub fn wire_tag(self) -> u8 {
-        match self {
-            ModelKind::Saved => 0,
-            ModelKind::Loaded => 1,
-            ModelKind::RolledBack => 2,
-            ModelKind::CorruptDetected => 3,
+    fn put(&self, out: &mut Vec<u8>) {
+        self.is_some().put(out);
+        if let Some(v) = self {
+            v.put(out);
         }
     }
-
-    /// Inverse of [`ModelKind::wire_tag`].
-    pub fn from_wire_tag(tag: u8) -> Option<Self> {
-        match tag {
-            0 => Some(ModelKind::Saved),
-            1 => Some(ModelKind::Loaded),
-            2 => Some(ModelKind::RolledBack),
-            3 => Some(ModelKind::CorruptDetected),
-            _ => None,
+    #[inline(always)]
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        if bool::get(r)? {
+            T::get(r).map(Some)
+        } else {
+            Ok(None)
         }
     }
 }
 
-/// Which hotspot rule was the binding constraint when the control
-/// plane planned a migration. A shard qualifies as hot only when it
-/// exceeds **both** the absolute utilization threshold and the
-/// spread-factor multiple of the fleet mean; the cause names the rule
-/// with the smaller margin — the one that would have released the
-/// shard first.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MigrationCause {
-    /// The absolute `hot_util` threshold was the tighter bound.
-    HotUtil,
-    /// The `spread_factor × mean` bound was the tighter one.
-    SpreadFactor,
-}
+/// Longest string field the wire decoder accepts, in bytes.
+const MAX_STR_LEN: usize = 4096;
 
-impl MigrationCause {
-    /// Stable lowercase tag used in exports.
-    pub fn tag(self) -> &'static str {
-        match self {
-            MigrationCause::HotUtil => "hot_util",
-            MigrationCause::SpreadFactor => "spread_factor",
-        }
+/// Escaped in JSON; a `u32` byte length then the UTF-8 bytes on the
+/// wire.
+impl Field for String {
+    fn write_json(&self, out: &mut String) {
+        out.push_str(&crate::json::quote(self));
     }
-
-    /// Stable one-byte tag used by the binary wire encoding
-    /// ([`crate::wire`]). Never renumber released values.
-    pub fn wire_tag(self) -> u8 {
-        match self {
-            MigrationCause::HotUtil => 0,
-            MigrationCause::SpreadFactor => 1,
-        }
+    fn put(&self, out: &mut Vec<u8>) {
+        (self.len() as u32).put(out);
+        out.extend_from_slice(self.as_bytes());
     }
-
-    /// Inverse of [`MigrationCause::wire_tag`].
-    pub fn from_wire_tag(tag: u8) -> Option<Self> {
-        match tag {
-            0 => Some(MigrationCause::HotUtil),
-            1 => Some(MigrationCause::SpreadFactor),
-            _ => None,
+    #[inline(always)]
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        let len = u32::get(r)? as usize;
+        if len > MAX_STR_LEN {
+            return Err(WireError::BadLength(len as u64));
         }
+        String::from_utf8(r.take(len)?.to_vec()).map_err(|_| WireError::BadString)
     }
 }
 
-/// One structured observability record. All timestamps are simulated time.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ObsEvent {
+/// A fieldless enum whose variants are listed once with their stable
+/// lowercase tags. The tag is the JSON value; the variant's position is
+/// its one-byte wire tag.
+macro_rules! tag_enum {
+    ($(#[$meta:meta])* $name:ident {
+        $($(#[$vmeta:meta])* $variant:ident = $tag:literal,)*
+    }) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum $name {
+            $($(#[$vmeta])* $variant,)*
+        }
+
+        impl $name {
+            /// Stable lowercase tag used in exports.
+            pub fn tag(self) -> &'static str {
+                match self {
+                    $($name::$variant => $tag,)*
+                }
+            }
+        }
+
+        impl Field for $name {
+            fn write_json(&self, out: &mut String) {
+                out.push('"');
+                out.push_str(self.tag());
+                out.push('"');
+            }
+            fn put(&self, out: &mut Vec<u8>) {
+                out.push(*self as u8);
+            }
+            #[inline(always)]
+            fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+                let t = r.u8()?;
+                [$($name::$variant),*]
+                    .get(usize::from(t))
+                    .copied()
+                    .ok_or(WireError::BadTag(t))
+            }
+        }
+    };
+}
+
+tag_enum! {
+    /// What a [`ObsEvent::NandOp`] span occupied.
+    NandKind {
+        /// Whole-page read (cell read + bus transfer).
+        Read = "read",
+        /// Whole-page program (bus transfer + cell program).
+        Program = "program",
+        /// One bus grant of a time-sliced transfer.
+        BusGrant = "bus_grant",
+        /// Cell-only occupancy (the chip half of a time-sliced op).
+        ChipOccupy = "chip_occupy",
+    }
+}
+
+tag_enum! {
+    /// A ghost-superblock lifecycle transition (§3.6 of the paper).
+    GsbKind {
+        /// `Make_Harvestable` materialized a new gSB into the pool.
+        Created = "created",
+        /// A harvester acquired the gSB (`Harvest`).
+        Harvested = "harvested",
+        /// The harvester released the gSB back (level decrease).
+        Released = "released",
+        /// The home vSSD asked for it back; live data drains through GC.
+        ReclaimRequested = "reclaim_requested",
+        /// The gSB's last block was returned; it no longer exists.
+        Destroyed = "destroyed",
+    }
+}
+
+tag_enum! {
+    /// A model-lifecycle action (checkpoint management in `fleetio-model`).
+    ModelKind {
+        /// A checkpoint was written (atomic tmp + sync + rename).
+        Saved = "saved",
+        /// A checkpoint was decoded and a trainer/agent restored from it.
+        Loaded = "loaded",
+        /// The trainer was rolled back to the last-good snapshot after a
+        /// reward regression.
+        RolledBack = "rolled_back",
+        /// A checkpoint failed verification (bad magic/CRC/truncation).
+        CorruptDetected = "corrupt_detected",
+    }
+}
+
+tag_enum! {
+    /// Which hotspot rule was the binding constraint when the control
+    /// plane planned a migration. A shard qualifies as hot only when it
+    /// exceeds **both** the absolute utilization threshold and the
+    /// spread-factor multiple of the fleet mean; the cause names the rule
+    /// with the smaller margin — the one that would have released the
+    /// shard first.
+    MigrationCause {
+        /// The absolute `hot_util` threshold was the tighter bound.
+        HotUtil = "hot_util",
+        /// The `spread_factor × mean` bound was the tighter one.
+        SpreadFactor = "spread_factor",
+    }
+}
+
+/// Generates [`ObsEvent`] and its per-kind code from the schema table.
+/// Each kind's first field is its primary timestamp ([`ObsEvent::at`]).
+macro_rules! obs_events {
+    ($(
+        $(#[$vmeta:meta])*
+        $variant:ident = $tag:literal {
+            $(#[$at_meta:meta])* $at:ident: $at_ty:ty,
+            $($(#[$fmeta:meta])* $field:ident: $ty:ty,)*
+        }
+    )*) => {
+        /// One structured observability record. All timestamps are
+        /// simulated time.
+        #[derive(Debug, Clone, PartialEq)]
+        pub enum ObsEvent {
+            $($(#[$vmeta])* $variant {
+                $(#[$at_meta])* $at: $at_ty,
+                $($(#[$fmeta])* $field: $ty,)*
+            },)*
+        }
+
+        /// Table positions; a kind's index is its variant's position.
+        #[repr(u8)]
+        enum Kind {
+            $($variant,)*
+        }
+
+        #[allow(non_upper_case_globals)]
+        mod kind {
+            $(pub(super) const $variant: u8 = super::Kind::$variant as u8;)*
+        }
+
+        impl ObsEvent {
+            /// Stable `type` tags indexed by [`ObsEvent::kind_index`].
+            pub const KIND_TAGS: [&'static str; [$($tag),*].len()] = [$($tag),*];
+
+            /// Stable dense index of the event's kind, `0..KIND_TAGS.len()`.
+            /// Doubles as the binary wire tag ([`crate::wire`]) and the
+            /// bit position in the run store's per-segment kind bitmap —
+            /// never renumber released values; append new kinds at the end.
+            pub fn kind_index(&self) -> u8 {
+                match self {
+                    $(ObsEvent::$variant { .. } => kind::$variant,)*
+                }
+            }
+
+            /// The event's primary timestamp (span events use their start).
+            pub fn at(&self) -> SimTime {
+                match *self {
+                    $(ObsEvent::$variant { $at, .. } => $at,)*
+                }
+            }
+
+            /// Appends the event's one-line JSON encoding (no trailing
+            /// newline).
+            pub fn write_json(&self, out: &mut String) {
+                out.push_str("{\"type\":\"");
+                out.push_str(self.tag());
+                out.push('"');
+                match self {
+                    $(ObsEvent::$variant { $at, $($field,)* } => {
+                        json_field(out, stringify!($at), $at);
+                        $(json_field(out, stringify!($field), $field);)*
+                    })*
+                }
+                out.push('}');
+            }
+
+            /// Appends the fields' wire bytes in table order.
+            pub(crate) fn put_fields(&self, out: &mut Vec<u8>) {
+                match self {
+                    $(ObsEvent::$variant { $at, $($field,)* } => {
+                        $at.put(out);
+                        $($field.put(out);)*
+                    })*
+                }
+            }
+
+            /// Reads the fields of kind `kind` in table order. Inlined
+            /// into `wire::decode_event`, whose cost it dominates.
+            #[inline(always)]
+            pub(crate) fn read_fields(kind: u8, r: &mut Reader<'_>) -> Result<Self, WireError> {
+                Ok(match kind {
+                    $(kind::$variant => ObsEvent::$variant {
+                        $at: Field::get(r)?,
+                        $($field: Field::get(r)?,)*
+                    },)*
+                    t => return Err(WireError::BadTag(t)),
+                })
+            }
+        }
+    };
+}
+
+fn json_field<T: Field>(out: &mut String, key: &str, v: &T) {
+    out.push_str(",\"");
+    out.push_str(key);
+    out.push_str("\":");
+    v.write_json(out);
+}
+
+obs_events! {
     /// A host request entered the engine (`Engine::submit`).
-    RequestSubmit {
+    RequestSubmit = "request_submit" {
         /// Arrival time the request was stamped with.
         at: SimTime,
         /// Engine-assigned request id.
@@ -219,9 +378,9 @@ pub enum ObsEvent {
         read: bool,
         /// Request length in bytes.
         bytes: u64,
-    },
+    }
     /// The request's arrival was processed and its page ops were queued.
-    RequestAdmit {
+    RequestAdmit = "request_admit" {
         /// Admission time.
         at: SimTime,
         /// Engine-assigned request id.
@@ -230,9 +389,9 @@ pub enum ObsEvent {
         vssd: u32,
         /// Page operations the request fanned out into.
         pages: u32,
-    },
+    }
     /// One of the request's page ops was issued to a chip.
-    ChipIssue {
+    ChipIssue = "chip_issue" {
         /// Issue time.
         at: SimTime,
         /// Engine-assigned request id.
@@ -245,9 +404,9 @@ pub enum ObsEvent {
         chip: u16,
         /// Read (`true`) or program.
         read: bool,
-    },
+    }
     /// The request's last page op finished.
-    RequestComplete {
+    RequestComplete = "request_complete" {
         /// Completion time.
         at: SimTime,
         /// Engine-assigned request id.
@@ -262,10 +421,10 @@ pub enum ObsEvent {
         arrival: SimTime,
         /// First time any of its ops touched hardware.
         service_start: SimTime,
-    },
+    }
     /// A NAND-level occupancy span (device timing, one track per
     /// channel/chip in the Chrome exporter).
-    NandOp {
+    NandOp = "nand_op" {
         /// When the op began occupying its first resource.
         start: SimTime,
         /// When it released its last resource.
@@ -282,9 +441,9 @@ pub enum ObsEvent {
         gc: bool,
         /// Bytes moved (0 for cell-only occupancy).
         bytes: u64,
-    },
+    }
     /// A garbage-collection job started on `(channel, chip)`.
-    GcStart {
+    GcStart = "gc_start" {
         /// Start time.
         at: SimTime,
         /// Job id, or `None` for the synchronous emergency path.
@@ -299,9 +458,9 @@ pub enum ObsEvent {
         live_pages: u32,
         /// Whether this was an out-of-space emergency collection.
         emergency: bool,
-    },
+    }
     /// A garbage-collection job finished (victim erased and released).
-    GcEnd {
+    GcEnd = "gc_end" {
         /// Completion time.
         at: SimTime,
         /// Job id.
@@ -314,9 +473,9 @@ pub enum ObsEvent {
         chip: u16,
         /// Wall-to-wall busy time of the job.
         busy: SimDuration,
-    },
+    }
     /// A ghost-superblock transition.
-    GsbTransition {
+    GsbTransition = "gsb" {
         /// Transition time.
         at: SimTime,
         /// gSB id.
@@ -329,19 +488,19 @@ pub enum ObsEvent {
         kind: GsbKind,
         /// Channels the gSB spans.
         channels: u16,
-    },
+    }
     /// Every runnable op on a channel was token-bucket blocked; a retry
     /// was scheduled.
-    Throttle {
+    Throttle = "throttle" {
         /// When the dispatcher gave up.
         at: SimTime,
         /// The starved channel.
         channel: u16,
         /// Earliest token-availability time (the retry time).
         until: SimTime,
-    },
+    }
     /// A per-vSSD statistics window was frozen (`Engine::finish_window`).
-    WindowFlush {
+    WindowFlush = "window_flush" {
         /// Window end time.
         at: SimTime,
         /// vSSD the window belongs to.
@@ -360,26 +519,25 @@ pub enum ObsEvent {
         total_bytes: u64,
         /// Operations completed in the window.
         total_ops: u64,
-    },
+    }
     /// A model checkpoint was saved, loaded or rolled back
     /// (`fleetio-model`). Timestamped in simulated time because autosaves
     /// ride the sim-time cadence of online fine-tuning.
-    ModelLifecycle {
+    ModelLifecycle = "model" {
         /// When the lifecycle action happened (sim time of the driving
         /// training loop; [`SimTime::ZERO`] for offline tooling).
         at: SimTime,
         /// Which action.
         kind: ModelKind,
-        /// Registry tag of the checkpoint. Must stay within
-        /// `[a-z0-9_-]` (enforced by `fleetio-model`): the JSON encoder
-        /// does not escape strings.
+        /// Registry tag of the checkpoint (`fleetio-model` keeps it
+        /// within `[a-z0-9_-]`).
         tag: String,
         /// Trainer update counter at the time of the action.
         update: u64,
-    },
+    }
     /// A per-tenant SLO verdict for one decision window, emitted at the
     /// fleet's serial window merge.
-    SloWindow {
+    SloWindow = "slo_window" {
         /// Window end time on the tenant's resident shard.
         at: SimTime,
         /// Fleet-wide tenant index.
@@ -402,10 +560,10 @@ pub enum ObsEvent {
         throughput_ok: bool,
         /// Rolling violation fraction after this window (burn rate).
         burn: f64,
-    },
+    }
     /// A tenant migration executed at a window boundary, with the
     /// hotspot-rule cause and the utilizations the planner saw.
-    FleetMigration {
+    FleetMigration = "fleet_migration" {
         /// Execution time (the boundary entering the next window).
         at: SimTime,
         /// Window whose statistics planned the move.
@@ -432,52 +590,10 @@ pub enum ObsEvent {
         src_util_after: f64,
         /// Projected destination utilization after the move.
         dst_util_after: f64,
-    },
+    }
 }
 
 impl ObsEvent {
-    /// Number of distinct event kinds ([`ObsEvent::kind_index`] range).
-    pub const KIND_COUNT: usize = 13;
-
-    /// Stable `type` tags indexed by [`ObsEvent::kind_index`].
-    pub const KIND_TAGS: [&'static str; Self::KIND_COUNT] = [
-        "request_submit",
-        "request_admit",
-        "chip_issue",
-        "request_complete",
-        "nand_op",
-        "gc_start",
-        "gc_end",
-        "gsb",
-        "throttle",
-        "window_flush",
-        "model",
-        "slo_window",
-        "fleet_migration",
-    ];
-
-    /// Stable dense index of the event's kind, `0..KIND_COUNT`. Doubles
-    /// as the binary wire tag ([`crate::wire`]) and the bit position in
-    /// the run store's per-segment kind bitmap — never renumber released
-    /// values; append new kinds at the end.
-    pub fn kind_index(&self) -> u8 {
-        match self {
-            ObsEvent::RequestSubmit { .. } => 0,
-            ObsEvent::RequestAdmit { .. } => 1,
-            ObsEvent::ChipIssue { .. } => 2,
-            ObsEvent::RequestComplete { .. } => 3,
-            ObsEvent::NandOp { .. } => 4,
-            ObsEvent::GcStart { .. } => 5,
-            ObsEvent::GcEnd { .. } => 6,
-            ObsEvent::GsbTransition { .. } => 7,
-            ObsEvent::Throttle { .. } => 8,
-            ObsEvent::WindowFlush { .. } => 9,
-            ObsEvent::ModelLifecycle { .. } => 10,
-            ObsEvent::SloWindow { .. } => 11,
-            ObsEvent::FleetMigration { .. } => 12,
-        }
-    }
-
     /// Looks up a kind index by its stable `type` tag (CLI filters).
     pub fn kind_index_of_tag(tag: &str) -> Option<u8> {
         Self::KIND_TAGS
@@ -488,269 +604,7 @@ impl ObsEvent {
 
     /// Stable `type` tag of the event's JSONL encoding.
     pub fn tag(&self) -> &'static str {
-        match self {
-            ObsEvent::RequestSubmit { .. } => "request_submit",
-            ObsEvent::RequestAdmit { .. } => "request_admit",
-            ObsEvent::ChipIssue { .. } => "chip_issue",
-            ObsEvent::RequestComplete { .. } => "request_complete",
-            ObsEvent::NandOp { .. } => "nand_op",
-            ObsEvent::GcStart { .. } => "gc_start",
-            ObsEvent::GcEnd { .. } => "gc_end",
-            ObsEvent::GsbTransition { .. } => "gsb",
-            ObsEvent::Throttle { .. } => "throttle",
-            ObsEvent::WindowFlush { .. } => "window_flush",
-            ObsEvent::ModelLifecycle { .. } => "model",
-            ObsEvent::SloWindow { .. } => "slo_window",
-            ObsEvent::FleetMigration { .. } => "fleet_migration",
-        }
-    }
-
-    /// The event's primary timestamp (span events use their start).
-    pub fn at(&self) -> SimTime {
-        match *self {
-            ObsEvent::RequestSubmit { at, .. }
-            | ObsEvent::RequestAdmit { at, .. }
-            | ObsEvent::ChipIssue { at, .. }
-            | ObsEvent::RequestComplete { at, .. }
-            | ObsEvent::GcStart { at, .. }
-            | ObsEvent::GcEnd { at, .. }
-            | ObsEvent::GsbTransition { at, .. }
-            | ObsEvent::Throttle { at, .. }
-            | ObsEvent::WindowFlush { at, .. }
-            | ObsEvent::ModelLifecycle { at, .. }
-            | ObsEvent::SloWindow { at, .. }
-            | ObsEvent::FleetMigration { at, .. } => at,
-            ObsEvent::NandOp { start, .. } => start,
-        }
-    }
-
-    /// Appends the event's one-line JSON encoding (no trailing newline).
-    pub fn write_json(&self, out: &mut String) {
-        out.push_str("{\"type\":\"");
-        out.push_str(self.tag());
-        out.push('"');
-        match *self {
-            ObsEvent::RequestSubmit {
-                at,
-                req,
-                vssd,
-                read,
-                bytes,
-            } => {
-                field_u64(out, "at", at.as_nanos());
-                field_u64(out, "req", req);
-                field_u64(out, "vssd", u64::from(vssd));
-                field_bool(out, "read", read);
-                field_u64(out, "bytes", bytes);
-            }
-            ObsEvent::RequestAdmit {
-                at,
-                req,
-                vssd,
-                pages,
-            } => {
-                field_u64(out, "at", at.as_nanos());
-                field_u64(out, "req", req);
-                field_u64(out, "vssd", u64::from(vssd));
-                field_u64(out, "pages", u64::from(pages));
-            }
-            ObsEvent::ChipIssue {
-                at,
-                req,
-                vssd,
-                channel,
-                chip,
-                read,
-            } => {
-                field_u64(out, "at", at.as_nanos());
-                field_u64(out, "req", req);
-                field_u64(out, "vssd", u64::from(vssd));
-                field_u64(out, "channel", u64::from(channel));
-                field_u64(out, "chip", u64::from(chip));
-                field_bool(out, "read", read);
-            }
-            ObsEvent::RequestComplete {
-                at,
-                req,
-                vssd,
-                read,
-                bytes,
-                arrival,
-                service_start,
-            } => {
-                field_u64(out, "at", at.as_nanos());
-                field_u64(out, "req", req);
-                field_u64(out, "vssd", u64::from(vssd));
-                field_bool(out, "read", read);
-                field_u64(out, "bytes", bytes);
-                field_u64(out, "arrival", arrival.as_nanos());
-                field_u64(out, "service_start", service_start.as_nanos());
-            }
-            ObsEvent::NandOp {
-                start,
-                end,
-                vssd,
-                channel,
-                chip,
-                kind,
-                gc,
-                bytes,
-            } => {
-                field_u64(out, "start", start.as_nanos());
-                field_u64(out, "end", end.as_nanos());
-                field_u64(out, "vssd", u64::from(vssd));
-                field_u64(out, "channel", u64::from(channel));
-                field_u64(out, "chip", u64::from(chip));
-                field_str(out, "kind", kind.tag());
-                field_bool(out, "gc", gc);
-                field_u64(out, "bytes", bytes);
-            }
-            ObsEvent::GcStart {
-                at,
-                job,
-                vssd,
-                channel,
-                chip,
-                live_pages,
-                emergency,
-            } => {
-                field_u64(out, "at", at.as_nanos());
-                match job {
-                    Some(j) => field_u64(out, "job", j),
-                    None => out.push_str(",\"job\":null"),
-                }
-                field_u64(out, "vssd", u64::from(vssd));
-                field_u64(out, "channel", u64::from(channel));
-                field_u64(out, "chip", u64::from(chip));
-                field_u64(out, "live_pages", u64::from(live_pages));
-                field_bool(out, "emergency", emergency);
-            }
-            ObsEvent::GcEnd {
-                at,
-                job,
-                vssd,
-                channel,
-                chip,
-                busy,
-            } => {
-                field_u64(out, "at", at.as_nanos());
-                field_u64(out, "job", job);
-                field_u64(out, "vssd", u64::from(vssd));
-                field_u64(out, "channel", u64::from(channel));
-                field_u64(out, "chip", u64::from(chip));
-                field_u64(out, "busy", busy.as_nanos());
-            }
-            ObsEvent::GsbTransition {
-                at,
-                gsb,
-                home,
-                harvester,
-                kind,
-                channels,
-            } => {
-                field_u64(out, "at", at.as_nanos());
-                field_u64(out, "gsb", gsb);
-                field_u64(out, "home", u64::from(home));
-                match harvester {
-                    Some(h) => field_u64(out, "harvester", u64::from(h)),
-                    None => out.push_str(",\"harvester\":null"),
-                }
-                field_str(out, "kind", kind.tag());
-                field_u64(out, "channels", u64::from(channels));
-            }
-            ObsEvent::Throttle { at, channel, until } => {
-                field_u64(out, "at", at.as_nanos());
-                field_u64(out, "channel", u64::from(channel));
-                field_u64(out, "until", until.as_nanos());
-            }
-            ObsEvent::WindowFlush {
-                at,
-                vssd,
-                avg_bandwidth,
-                avg_iops,
-                p99_latency,
-                slo_violation_rate,
-                gc_busy_frac,
-                total_bytes,
-                total_ops,
-            } => {
-                field_u64(out, "at", at.as_nanos());
-                field_u64(out, "vssd", u64::from(vssd));
-                field_f64(out, "avg_bandwidth", avg_bandwidth);
-                field_f64(out, "avg_iops", avg_iops);
-                field_u64(out, "p99_latency", p99_latency.as_nanos());
-                field_f64(out, "slo_violation_rate", slo_violation_rate);
-                field_f64(out, "gc_busy_frac", gc_busy_frac);
-                field_u64(out, "total_bytes", total_bytes);
-                field_u64(out, "total_ops", total_ops);
-            }
-            ObsEvent::ModelLifecycle {
-                at,
-                kind,
-                ref tag,
-                update,
-            } => {
-                field_u64(out, "at", at.as_nanos());
-                field_str(out, "kind", kind.tag());
-                field_str(out, "tag", tag);
-                field_u64(out, "update", update);
-            }
-            ObsEvent::SloWindow {
-                at,
-                tenant,
-                window,
-                ops,
-                p95,
-                p99,
-                throughput,
-                p95_ok,
-                p99_ok,
-                throughput_ok,
-                burn,
-            } => {
-                field_u64(out, "at", at.as_nanos());
-                field_u64(out, "tenant", u64::from(tenant));
-                field_u64(out, "window", u64::from(window));
-                field_u64(out, "ops", ops);
-                field_u64(out, "p95", p95.as_nanos());
-                field_u64(out, "p99", p99.as_nanos());
-                field_f64(out, "throughput", throughput);
-                field_bool(out, "p95_ok", p95_ok);
-                field_bool(out, "p99_ok", p99_ok);
-                field_bool(out, "throughput_ok", throughput_ok);
-                field_f64(out, "burn", burn);
-            }
-            ObsEvent::FleetMigration {
-                at,
-                window,
-                tenant,
-                from_shard,
-                from_slot,
-                to_shard,
-                to_slot,
-                cause,
-                mean_util,
-                src_util,
-                dst_util,
-                src_util_after,
-                dst_util_after,
-            } => {
-                field_u64(out, "at", at.as_nanos());
-                field_u64(out, "window", u64::from(window));
-                field_u64(out, "tenant", u64::from(tenant));
-                field_u64(out, "from_shard", u64::from(from_shard));
-                field_u64(out, "from_slot", u64::from(from_slot));
-                field_u64(out, "to_shard", u64::from(to_shard));
-                field_u64(out, "to_slot", u64::from(to_slot));
-                field_str(out, "cause", cause.tag());
-                field_f64(out, "mean_util", mean_util);
-                field_f64(out, "src_util", src_util);
-                field_f64(out, "dst_util", dst_util);
-                field_f64(out, "src_util_after", src_util_after);
-                field_f64(out, "dst_util_after", dst_util_after);
-            }
-        }
-        out.push('}');
+        Self::KIND_TAGS[usize::from(self.kind_index())]
     }
 
     /// The event's one-line JSON encoding.
@@ -761,26 +615,144 @@ impl ObsEvent {
     }
 }
 
-fn field_u64(out: &mut String, key: &str, v: u64) {
-    let _ = write!(out, ",\"{key}\":{v}");
-}
-
-fn field_bool(out: &mut String, key: &str, v: bool) {
-    let _ = write!(out, ",\"{key}\":{v}");
-}
-
-fn field_str(out: &mut String, key: &str, v: &str) {
-    let _ = write!(out, ",\"{key}\":\"{v}\"");
-}
-
-/// Writes a finite float; non-finite values clamp to `0` so the line
-/// stays valid JSON.
-fn field_f64(out: &mut String, key: &str, v: f64) {
-    if v.is_finite() {
-        let _ = write!(out, ",\"{key}\":{v}");
-    } else {
-        let _ = write!(out, ",\"{key}\":0");
-    }
+/// One event of every kind, with both branches of every `Option`
+/// field: the shared input of the codec tests.
+#[cfg(test)]
+pub(crate) fn sample_events() -> Vec<ObsEvent> {
+    vec![
+        ObsEvent::RequestSubmit {
+            at: SimTime::from_micros(3),
+            req: 7,
+            vssd: 1,
+            read: true,
+            bytes: 4096,
+        },
+        ObsEvent::RequestAdmit {
+            at: SimTime::from_micros(4),
+            req: 7,
+            vssd: 1,
+            pages: 2,
+        },
+        ObsEvent::ChipIssue {
+            at: SimTime::from_micros(5),
+            req: 7,
+            vssd: 1,
+            channel: 3,
+            chip: 2,
+            read: false,
+        },
+        ObsEvent::RequestComplete {
+            at: SimTime::from_micros(9),
+            req: 7,
+            vssd: 1,
+            read: false,
+            bytes: 512,
+            arrival: SimTime::from_micros(3),
+            service_start: SimTime::from_micros(5),
+        },
+        ObsEvent::NandOp {
+            start: SimTime::ZERO,
+            end: SimTime::from_micros(5),
+            vssd: 0,
+            channel: 0,
+            chip: 0,
+            kind: NandKind::BusGrant,
+            gc: true,
+            bytes: 4096,
+        },
+        ObsEvent::GcStart {
+            at: SimTime::ZERO,
+            job: None,
+            vssd: 0,
+            channel: 0,
+            chip: 0,
+            live_pages: 3,
+            emergency: true,
+        },
+        ObsEvent::GcStart {
+            at: SimTime::from_micros(1),
+            job: Some(11),
+            vssd: 0,
+            channel: 0,
+            chip: 1,
+            live_pages: 9,
+            emergency: false,
+        },
+        ObsEvent::GcEnd {
+            at: SimTime::from_millis(1),
+            job: 4,
+            vssd: 0,
+            channel: 0,
+            chip: 0,
+            busy: SimDuration::from_micros(800),
+        },
+        ObsEvent::GsbTransition {
+            at: SimTime::ZERO,
+            gsb: 1,
+            home: 0,
+            harvester: Some(1),
+            kind: GsbKind::Harvested,
+            channels: 2,
+        },
+        ObsEvent::GsbTransition {
+            at: SimTime::from_micros(2),
+            gsb: 1,
+            home: 0,
+            harvester: None,
+            kind: GsbKind::Created,
+            channels: 2,
+        },
+        ObsEvent::Throttle {
+            at: SimTime::ZERO,
+            channel: 3,
+            until: SimTime::from_micros(50),
+        },
+        ObsEvent::WindowFlush {
+            at: SimTime::from_secs(2),
+            vssd: 1,
+            avg_bandwidth: 1.5e8,
+            avg_iops: 4000.0,
+            p99_latency: SimDuration::from_micros(900),
+            slo_violation_rate: 0.01,
+            gc_busy_frac: f64::NAN,
+            total_bytes: 1 << 30,
+            total_ops: 12345,
+        },
+        ObsEvent::ModelLifecycle {
+            at: SimTime::from_secs(3),
+            kind: ModelKind::RolledBack,
+            tag: "lc1".to_string(),
+            update: 42,
+        },
+        ObsEvent::SloWindow {
+            at: SimTime::from_secs(4),
+            tenant: 17,
+            window: 3,
+            ops: 900,
+            p95: SimDuration::from_micros(850),
+            p99: SimDuration::from_millis(3),
+            throughput: 2.5e7,
+            p95_ok: true,
+            p99_ok: false,
+            throughput_ok: true,
+            burn: 0.25,
+        },
+        ObsEvent::FleetMigration {
+            at: SimTime::from_secs(5),
+            window: 4,
+            tenant: 17,
+            from_shard: 2,
+            from_slot: 1,
+            to_shard: 7,
+            to_slot: 0,
+            cause: MigrationCause::SpreadFactor,
+            mean_util: 0.22,
+            src_util: 0.81,
+            dst_util: 0.05,
+            src_util_after: 0.44,
+            dst_util_after: 0.42,
+        },
+    ]
 }
 
 #[cfg(test)]
@@ -806,117 +778,7 @@ mod tests {
 
     #[test]
     fn every_event_parses_as_json() {
-        let events = vec![
-            ObsEvent::RequestAdmit {
-                at: SimTime::ZERO,
-                req: 0,
-                vssd: 0,
-                pages: 2,
-            },
-            ObsEvent::ChipIssue {
-                at: SimTime::ZERO,
-                req: 0,
-                vssd: 0,
-                channel: 1,
-                chip: 2,
-                read: false,
-            },
-            ObsEvent::RequestComplete {
-                at: SimTime::from_micros(9),
-                req: 0,
-                vssd: 0,
-                read: false,
-                bytes: 512,
-                arrival: SimTime::ZERO,
-                service_start: SimTime::from_micros(1),
-            },
-            ObsEvent::NandOp {
-                start: SimTime::ZERO,
-                end: SimTime::from_micros(5),
-                vssd: 0,
-                channel: 0,
-                chip: 0,
-                kind: NandKind::BusGrant,
-                gc: true,
-                bytes: 4096,
-            },
-            ObsEvent::GcStart {
-                at: SimTime::ZERO,
-                job: None,
-                vssd: 0,
-                channel: 0,
-                chip: 0,
-                live_pages: 3,
-                emergency: true,
-            },
-            ObsEvent::GcEnd {
-                at: SimTime::from_millis(1),
-                job: 4,
-                vssd: 0,
-                channel: 0,
-                chip: 0,
-                busy: SimDuration::from_micros(800),
-            },
-            ObsEvent::GsbTransition {
-                at: SimTime::ZERO,
-                gsb: 1,
-                home: 0,
-                harvester: Some(1),
-                kind: GsbKind::Harvested,
-                channels: 2,
-            },
-            ObsEvent::Throttle {
-                at: SimTime::ZERO,
-                channel: 3,
-                until: SimTime::from_micros(50),
-            },
-            ObsEvent::WindowFlush {
-                at: SimTime::from_secs(2),
-                vssd: 1,
-                avg_bandwidth: 1.5e8,
-                avg_iops: 4000.0,
-                p99_latency: SimDuration::from_micros(900),
-                slo_violation_rate: 0.01,
-                gc_busy_frac: f64::NAN,
-                total_bytes: 1 << 30,
-                total_ops: 12345,
-            },
-            ObsEvent::ModelLifecycle {
-                at: SimTime::from_secs(3),
-                kind: ModelKind::RolledBack,
-                tag: "lc1".to_string(),
-                update: 42,
-            },
-            ObsEvent::SloWindow {
-                at: SimTime::from_secs(4),
-                tenant: 17,
-                window: 3,
-                ops: 900,
-                p95: SimDuration::from_micros(850),
-                p99: SimDuration::from_millis(3),
-                throughput: 2.5e7,
-                p95_ok: true,
-                p99_ok: false,
-                throughput_ok: true,
-                burn: 0.25,
-            },
-            ObsEvent::FleetMigration {
-                at: SimTime::from_secs(5),
-                window: 4,
-                tenant: 17,
-                from_shard: 2,
-                from_slot: 1,
-                to_shard: 7,
-                to_slot: 0,
-                cause: MigrationCause::SpreadFactor,
-                mean_util: 0.22,
-                src_util: 0.81,
-                dst_util: 0.05,
-                src_util_after: 0.44,
-                dst_util_after: 0.42,
-            },
-        ];
-        for ev in events {
+        for ev in sample_events() {
             let line = ev.to_json();
             let v = crate::json::parse(&line).unwrap_or_else(|e| panic!("{line}: {e}"));
             let obj = v.as_object().expect("event encodes as a JSON object");
@@ -929,5 +791,39 @@ mod tests {
             assert_eq!(ObsEvent::KIND_TAGS[idx], ev.tag());
             assert_eq!(ObsEvent::kind_index_of_tag(ev.tag()), Some(idx as u8));
         }
+    }
+
+    /// Pins the exact wire and JSONL bytes of every kind, so a change
+    /// to how the codecs are written cannot change what they write.
+    #[test]
+    fn sample_encodings_are_byte_stable() {
+        let mut wire = Vec::new();
+        let mut jsonl = String::new();
+        for ev in sample_events() {
+            crate::wire::encode_event(&ev, &mut wire);
+            ev.write_json(&mut jsonl);
+            jsonl.push('\n');
+        }
+        let fnv = fleetio_des::hash::fnv1a64;
+        assert_eq!((wire.len(), fnv(&wire)), (550, 0x2e24_7f72_432f_32c4));
+        assert_eq!(
+            (jsonl.len(), fnv(jsonl.as_bytes())),
+            (1_658, 0x0433_a5c3_d07e_08b7)
+        );
+    }
+
+    #[test]
+    fn string_fields_are_escaped() {
+        let tag = "a\"b\n\u{1}";
+        let ev = ObsEvent::ModelLifecycle {
+            at: SimTime::ZERO,
+            kind: ModelKind::Saved,
+            tag: tag.to_string(),
+            update: 1,
+        };
+        let line = ev.to_json();
+        let v = crate::json::parse(&line).unwrap_or_else(|e| panic!("{line}: {e}"));
+        let obj = v.as_object().expect("event encodes as a JSON object");
+        assert_eq!(obj.get("tag").and_then(|t| t.as_str()), Some(tag));
     }
 }

@@ -5,7 +5,8 @@
 //! validate emitted JSON without external crates. Supports the full
 //! JSON grammar the exporters produce: objects, arrays, strings with
 //! escapes, numbers (parsed as `f64`), booleans and `null`. Rejects
-//! trailing input.
+//! trailing input and nesting deeper than [`MAX_DEPTH`], and runs in
+//! time linear in the input, so hostile lines fail cleanly.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -79,11 +80,16 @@ impl Value {
     }
 }
 
+/// Deepest array/object nesting [`parse`] accepts. Far above anything
+/// the workspace writes; it bounds the parser's recursion so a hostile
+/// line is an error, not a stack overflow.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses `input` as a single JSON value, rejecting trailing input.
 pub fn parse(input: &str) -> Result<Value, String> {
     let bytes = input.as_bytes();
     let mut pos = 0;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, MAX_DEPTH)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing input at byte {pos}"));
@@ -118,12 +124,16 @@ fn skip_ws(b: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, String> {
+/// Parses one value; `depth` is how many more containers may open.
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
     skip_ws(b, pos);
     match b.get(*pos) {
         None => Err("unexpected end of input".to_string()),
-        Some(b'{') => parse_object(b, pos),
-        Some(b'[') => parse_array(b, pos),
+        Some(b'{' | b'[') if depth == 0 => {
+            Err(format!("nesting deeper than {MAX_DEPTH} at byte {}", *pos))
+        }
+        Some(b'{') => parse_object(b, pos, depth - 1),
+        Some(b'[') => parse_array(b, pos, depth - 1),
         Some(b'"') => parse_string(b, pos).map(Value::Str),
         Some(b't') => parse_lit(b, pos, "true", Value::Bool(true)),
         Some(b'f') => parse_lit(b, pos, "false", Value::Bool(false)),
@@ -195,18 +205,21 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Copy one UTF-8 scalar. The input is a valid &str, so a
-                // char boundary always exists here.
-                let rest = std::str::from_utf8(&b[*pos..]).map_err(|e| e.to_string())?;
-                let ch = rest.chars().next().unwrap_or('\u{fffd}');
-                out.push(ch);
-                *pos += ch.len_utf8();
+                // Copy the run up to the next quote or backslash. Both are
+                // ASCII, so the run ends on a char boundary of the valid
+                // input; each byte is looked at once.
+                let run = b[*pos..]
+                    .iter()
+                    .position(|&c| c == b'"' || c == b'\\')
+                    .map_or(b.len(), |n| *pos + n);
+                out.push_str(std::str::from_utf8(&b[*pos..run]).map_err(|e| e.to_string())?);
+                *pos = run;
             }
         }
     }
 }
 
-fn parse_object(b: &[u8], pos: &mut usize) -> Result<Value, String> {
+fn parse_object(b: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
     *pos += 1; // '{'
     let mut map = BTreeMap::new();
     skip_ws(b, pos);
@@ -225,7 +238,7 @@ fn parse_object(b: &[u8], pos: &mut usize) -> Result<Value, String> {
             return Err(format!("expected ':' at byte {}", *pos));
         }
         *pos += 1;
-        let value = parse_value(b, pos)?;
+        let value = parse_value(b, pos, depth)?;
         map.insert(key, value);
         skip_ws(b, pos);
         match b.get(*pos) {
@@ -239,7 +252,7 @@ fn parse_object(b: &[u8], pos: &mut usize) -> Result<Value, String> {
     }
 }
 
-fn parse_array(b: &[u8], pos: &mut usize) -> Result<Value, String> {
+fn parse_array(b: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
     *pos += 1; // '['
     let mut arr = Vec::new();
     skip_ws(b, pos);
@@ -248,7 +261,7 @@ fn parse_array(b: &[u8], pos: &mut usize) -> Result<Value, String> {
         return Ok(Value::Arr(arr));
     }
     loop {
-        let value = parse_value(b, pos)?;
+        let value = parse_value(b, pos, depth)?;
         arr.push(value);
         skip_ws(b, pos);
         match b.get(*pos) {
@@ -303,6 +316,25 @@ mod tests {
             assert_eq!(parse(&quote(s)).unwrap().as_str(), Some(s));
         }
         assert_eq!(quote("a\"\n\u{1}"), r#""a\"\n\u0001""#);
+    }
+
+    #[test]
+    fn hostile_nesting_is_an_error() {
+        assert!(parse(&"[".repeat(100_000)).is_err());
+        assert!(parse(&"{\"a\":".repeat(100_000)).is_err());
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&ok).is_ok());
+        let deep = format!("[{ok}]");
+        assert!(parse(&deep).is_err());
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // 4 MiB: a scan that revisits the rest of the input per
+        // character would not finish.
+        let body = "é".repeat(1 << 21);
+        let v = parse(&quote(&body)).unwrap();
+        assert_eq!(v.as_str(), Some(body.as_str()));
     }
 
     #[test]

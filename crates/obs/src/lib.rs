@@ -10,9 +10,13 @@
 //!   default [`NullSink`] makes every hook a predictable no-op branch;
 //!   installing a [`RecordingSink`] turns the same hooks into a bounded
 //!   ring of typed [`ObsEvent`] records plus a [`MetricsRegistry`].
-//! * [`MetricsRegistry`] — counters, gauges and fixed-bucket log2
-//!   histograms ([`Log2Histogram`], P50/P95/P99 extraction) with typed
-//!   handles registered per vSSD / per channel / per chip.
+//! * [`event`] — the [`ObsEvent`] schema: one table of kinds and their
+//!   fields, from which the JSONL encoding and the [`wire`] binary codec
+//!   are generated.
+//! * [`MetricsRegistry`] — counters, gauges and latency histograms (the
+//!   engine's log-linear [`fleetio_des::LatencyHistogram`], P50/P95/P99
+//!   extraction) with typed handles registered per vSSD / per channel /
+//!   per chip.
 //! * [`export`] — JSONL event dumps, Chrome `trace_event` JSON
 //!   (loadable in `chrome://tracing` / Perfetto, one track per
 //!   channel/chip) and a plain-text metrics snapshot.
@@ -47,7 +51,7 @@ pub mod training;
 pub mod wire;
 
 pub use event::{GsbKind, MigrationCause, ModelKind, NandKind, ObsEvent};
-pub use metrics::{CounterId, GaugeId, HistogramId, Log2Histogram, MetricsRegistry};
+pub use metrics::{CounterId, GaugeId, HistogramId, MetricsRegistry};
 pub use prof::{ProfReport, ProfSpan, SpanGuard, SpanStats};
 pub use series::{SeriesId, SeriesSet};
 pub use sink::{NullSink, ObsSink, RecordingSink};
